@@ -76,12 +76,11 @@ def _weighted_from_json(doc: Any) -> WeightedTree:
 
 
 def _shape_string(shape: PlanarTree) -> str:
-    def render(u: int) -> str:
-        if u > 0:
-            return str(u)
-        return "(" + ",".join(render(c) for c in shape.child_map[u]) + ")"
-
-    return render(shape.root)
+    text: dict[int, str] = {}
+    for u in reversed(shape.preorder):
+        text[u] = str(u) if u > 0 else (
+            "(" + ",".join([text.pop(c) for c in shape.child_map[u]]) + ")")
+    return text[shape.root]
 
 
 def _perm_arg(text: str) -> tuple[int, ...]:
@@ -139,8 +138,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_recompose(args: argparse.Namespace) -> int:
     doc = _read_json(args.factors)
-    ext = [float(x) for x in doc["external"]]
-    m_tree = newick.parse_newick(doc["metric"].strip())
+    try:
+        metric = doc["metric"].strip()
+        ext = [float(x) for x in doc["external"]]
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise TreeError('factors JSON needs "metric" Newick text and an '
+                        f'"external" list of numbers: {exc}') from exc
+    m_tree = newick.parse_newick(metric)
     if m_tree.n == 1:
         if len(ext) != 1:
             raise TreeError("a 1-leaf tree has exactly one external length")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any
 
 import numpy as np
 
@@ -19,15 +19,16 @@ from .markov import (
     Distribution,
     MarkovGenerator,
     NonFiniteTime,
+    TENSOR_CAP,
+    ShapeMismatch,
     SizeCap,
     StateSpace,
     _check_same_states,
-    _frozen_array,
+    _finite_array,
+    _json_fields,
     expm,
 )
 from .operads import PhyloTree
-
-TENSOR_CAP = 10 ** 6
 
 
 class CoalgebraError(ValueError):
@@ -64,13 +65,17 @@ class LeafTensor:
         s = states.size
         if s ** n > TENSOR_CAP:
             raise SizeCap(f"{s}^{n} tensor entries exceed the cap {TENSOR_CAP}")
-        arr = np.asarray(data, dtype=float).reshape((s,) * n)
+        arr = _finite_array(data, "tensor")
+        if arr.size != s ** n:
+            raise ShapeMismatch(f"{arr.size} tensor entries for {s}^{n}")
+        arr = arr.reshape((s,) * n)
         if stochastic:
             if float(arr.min(initial=0.0)) < -1e-12:
                 raise CoalgebraError(f"negative tensor entry {arr.min()}")
             if abs(float(arr.sum()) - 1.0) > 1e-10:
                 raise CoalgebraError(f"tensor mass {arr.sum()} is not 1")
-        return LeafTensor(states, n, _frozen_array(arr))
+        arr.setflags(write=False)
+        return LeafTensor(states, n, arr)
 
     @property
     def flat(self) -> np.ndarray:
@@ -98,46 +103,15 @@ def duplicate(k: int, f: Distribution) -> LeafTensor:
     return LeafTensor.make(f.states, k, m @ f.p)
 
 
-def _edge_matrix(tree: PhyloTree, node: int, g: MarkovGenerator) -> np.ndarray:
-    t = tree.length(node)
-    if math.isinf(t):
-        return np.asarray(g.limit.M)
-    return np.asarray(expm(g, t).M)
-
-
-def _neutral_key(tree: PhyloTree, node: int) -> str:
-    """Canonical key of the subtree above ``node`` ignoring leaf labels.
-    Fixes the multiplication order below, so relabelling leaves permutes
-    tensor axes without changing a single bit of the entries."""
-    prefix = repr(tree.length(node)) + ":"
-    if node > 0:
-        return prefix + "L"
-    inner = sorted(_neutral_key(tree, c) for c in tree.shape.child_map[node])
-    return prefix + "(" + ",".join(inner) + ")"
-
-
-def _edge_operator(tree: PhyloTree, node: int, g: MarkovGenerator
-                   ) -> tuple[np.ndarray, list[int]]:
-    """Linear map from the state below this edge to the tensor over the
-    leaves above it; axes are (leaves ..., input)."""
-    a = _edge_matrix(tree, node, g)
-    if node > 0:
-        return a, [node]
-    s = g.size
-    cur: np.ndarray | None = None
-    labels: list[int] = []
-    kids = sorted(tree.shape.child_map[node],
-                  key=lambda c: _neutral_key(tree, c))
-    for c in kids:
-        sub, labs = _edge_operator(tree, c, g)
-        labels.extend(labs)
-        if cur is None:
-            cur = sub
-        else:
-            left = cur.reshape(cur.shape[:-1] + (1,) * (sub.ndim - 1) + (s,))
-            cur = left * sub[(None,) * (cur.ndim - 1)]
-    assert cur is not None, "vertices have at least one child here"
-    return np.tensordot(cur, a, axes=([-1], [0])), labels
+def _vertex_operator(subs: list[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """Copy the state into each child's operator, multiplying them in order,
+    then evolve along the edge matrix ``a``.  A function of its own, so the
+    partial products are freed before the caller's next allocation."""
+    cur = subs[0]
+    for sub in subs[1:]:
+        left = cur.reshape(cur.shape[:-1] + (1,) * (sub.ndim - 1) + (a.shape[0],))
+        cur = left * sub[(None,) * (cur.ndim - 1)]
+    return np.tensordot(cur, a, axes=([-1], [0]))
 
 
 def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
@@ -146,9 +120,23 @@ def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
     s = g.size
     if s ** t.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
-    op, labels = _edge_operator(t, t.shape.root, g)
-    order = np.argsort(labels)
-    op = np.transpose(op, tuple(order) + (t.n,))
+    # The representative sorts children by lengths and shape alone, so
+    # relabelling leaves permutes tensor axes without changing a single
+    # bit of the entries.
+    lengths = t.length_map()
+    rep, _, rename = t.shape.canonical("unordered", labels=lengths,
+                                       leaf_labels=False)
+    lens = {rename.get(u, u): x for u, x in lengths.items()}
+    # ops[u]: linear map from the state below u's edge to the tensor over
+    # the leaves above it, axes (leaves in planar order ..., input)
+    ops: dict[int, np.ndarray] = {}
+    for u in reversed(rep.preorder):
+        x = lens[u]
+        a = np.asarray(g.limit.M if math.isinf(x) else expm(g, x).M)
+        ops[u] = a if u > 0 else _vertex_operator(
+            [ops.pop(c) for c in rep.child_map[u]], a)
+    order = np.argsort(rep.leaf_order())
+    op = np.transpose(ops[rep.root], tuple(order) + (t.n,))
     return op.reshape(s ** t.n, s)
 
 
@@ -234,9 +222,10 @@ def tensor_to_json(lt: LeafTensor) -> dict:
             "data": [float(x) for x in lt.flat]}
 
 
-def tensor_from_json(doc: Mapping) -> LeafTensor:
-    try:
-        states = StateSpace(tuple(doc["states"]))
-        return LeafTensor.make(states, int(doc["n"]), np.array(doc["data"]))
-    except KeyError as exc:
-        raise CoalgebraError(f"tensor JSON needs key {exc}") from exc
+def tensor_from_json(doc: Any) -> LeafTensor:
+    states, data = _json_fields(doc, "tensor", "data")
+    n = doc.get("n")
+    # 64 is the most axes a numpy array may have
+    if type(n) is not int or not 0 <= n <= 64:
+        raise CoalgebraError("tensor JSON needs an integer n in 0..64")
+    return LeafTensor.make(states, n, data)

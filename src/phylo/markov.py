@@ -23,6 +23,8 @@ NEGATIVE_CLAMP = 1e-12
 LIMIT_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-8
 MAX_DOUBLINGS = 64
+# most entries a joint leaf tensor (evaluated or simulated) may have
+TENSOR_CAP = 10 ** 6
 
 
 class MarkovError(ValueError):
@@ -69,9 +71,15 @@ class StateSpaceMismatch(MarkovError):
     pass
 
 
-def _frozen_array(a: Any, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
+def _finite_array(a: Any, what: str) -> np.ndarray:
+    """A new float array of ``a``; MarkovError unless it is numeric,
+    rectangular and free of NaN and infinite entries."""
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{what} is not a numeric array: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise MarkovError(f"{what} has a NaN or infinite entry")
     return arr
 
 
@@ -114,8 +122,9 @@ class MarkovGenerator:
 
 def validate_generator(H: Any, states: StateSpace | Sequence[str] | None = None
                        ) -> MarkovGenerator:
-    """Check rate-matrix shape, nonnegative off-diagonals, zero column sums."""
-    arr = np.array(H, dtype=float)
+    """Check rate-matrix shape, finite entries, nonnegative off-diagonals,
+    zero column sums."""
+    arr = _finite_array(H, "rate matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"rate matrix must be square, got {arr.shape}")
     s = arr.shape[0]
@@ -132,7 +141,8 @@ def validate_generator(H: Any, states: StateSpace | Sequence[str] | None = None
     worst = float(np.abs(sums).max())
     if worst > GENERATOR_SUM_TOL:
         raise ColumnSumNonzero(f"column sums deviate by {worst}")
-    return MarkovGenerator(space, _frozen_array(arr))
+    arr.setflags(write=False)
+    return MarkovGenerator(space, arr)
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class StochasticMatrix:
 
     @staticmethod
     def make(states: StateSpace, M: np.ndarray) -> "StochasticMatrix":
-        arr = np.array(M, dtype=float)
+        arr = _finite_array(M, "stochastic matrix")
         if arr.shape != (states.size, states.size):
             raise ShapeMismatch(f"matrix shape {arr.shape} vs {states.size} states")
         if arr.min() < -NEGATIVE_CLAMP:
@@ -151,7 +161,8 @@ class StochasticMatrix:
         dev = float(np.abs(arr.sum(axis=0) - 1.0).max())
         if dev > COLUMN_SUM_TOL:
             raise MarkovError(f"column sums deviate from 1 by {dev}")
-        return StochasticMatrix(states, _frozen_array(arr))
+        arr.setflags(write=False)
+        return StochasticMatrix(states, arr)
 
     def apply(self, f: "Distribution") -> "Distribution":
         _check_same_states(self.states, f.states)
@@ -165,7 +176,7 @@ class Distribution:
 
     @staticmethod
     def make(states: StateSpace, p: Any) -> "Distribution":
-        arr = np.array(p, dtype=float)
+        arr = _finite_array(p, "probability vector")
         if arr.shape != (states.size,):
             raise ShapeMismatch(f"vector shape {arr.shape} vs {states.size} states")
         if arr.min() < -NEGATIVE_CLAMP:
@@ -173,7 +184,8 @@ class Distribution:
         arr[arr < 0] = 0.0
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise MarkovError(f"probabilities sum to {arr.sum()}")
-        return Distribution(states, _frozen_array(arr))
+        arr.setflags(write=False)
+        return Distribution(states, arr)
 
     @staticmethod
     def uniform(states: StateSpace) -> "Distribution":
@@ -189,6 +201,9 @@ class Distribution:
 def _expm_core(A: np.ndarray) -> np.ndarray:
     """Scaling and squaring with a machine-precision truncated series."""
     norm = float(np.abs(A).sum(axis=0).max())
+    if not norm < 2.0 ** 1000:
+        # also an infinite norm, where t * H overflowed
+        raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
     squarings = 0 if norm <= 1.0 else int(math.ceil(math.log2(norm)))
     B = A / (2.0 ** squarings)
     s = A.shape[0]
@@ -340,25 +355,24 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
         raise MarkovError("need at least one sample")
     if tree.is_extended:
         raise NonFiniteTime("simulation needs finite edge lengths")
-    rng = np.random.default_rng(seed)
     s = g.size
+    if s ** tree.n > TENSOR_CAP:
+        raise SizeCap(f"{s}^{tree.n} count entries exceed the cap {TENSOR_CAP}")
+    rng = np.random.default_rng(seed)
     cut = np.cumsum(root.p)
     start = np.searchsorted(cut, rng.random(samples), side="right")
-    start = np.minimum(start, s - 1).astype(np.int64)
-    leaf_states: dict[int, np.ndarray] = {}
-
-    def walk(node: int, incoming: np.ndarray) -> None:
-        here = _evolve(rng, np.asarray(g.H), incoming, tree.length(node))
-        if node > 0:
-            leaf_states[node] = here
-            return
-        for c in tree.shape.child_map[node]:
-            walk(c, here)
-
-    walk(tree.shape.root, start)
+    # 0 is the root marker: the state flowing into the root edge
+    states = {0: np.minimum(start, s - 1).astype(np.int64)}
+    H = np.asarray(g.H)
+    for u in tree.shape.preorder:
+        p = tree.shape.parent[u]
+        # a vertex's state is dropped once its last child has used it
+        last = p == 0 or tree.shape.child_map[p][-1] == u
+        incoming = states.pop(p) if last else states[p]
+        states[u] = _evolve(rng, H, incoming, tree.length(u))
     flat = np.zeros(samples, dtype=np.int64)
     for j in range(1, tree.n + 1):
-        flat = flat * s + leaf_states[j]
+        flat = flat * s + states[j]
     counts = np.bincount(flat, minlength=s ** tree.n)
     return counts.reshape((s,) * tree.n)
 
@@ -372,18 +386,26 @@ def matrix_to_json(states: StateSpace, M: np.ndarray) -> dict:
             "rows": [[float(x) for x in row] for row in np.asarray(M)]}
 
 
-def generator_from_json(doc: Mapping) -> MarkovGenerator:
-    try:
-        return validate_generator(doc["rows"], tuple(doc["states"]))
-    except KeyError as exc:
-        raise MarkovError(f"matrix JSON needs key {exc}") from exc
+def _json_fields(doc: Any, what: str, key: str) -> tuple[StateSpace, Any]:
+    """The state space under "states" and the value under ``key`` of a JSON
+    object; MarkovError when the document does not have that shape."""
+    if not (isinstance(doc, Mapping) and "states" in doc and key in doc):
+        raise MarkovError(f"{what} JSON must be an object with keys "
+                          f"'states' and {key!r}")
+    labels = doc["states"]
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise MarkovError(f"{what} JSON needs a list of state names")
+    return StateSpace(tuple(labels)), doc[key]
 
 
-def distribution_from_json(doc: Mapping) -> Distribution:
-    try:
-        return Distribution.make(StateSpace(tuple(doc["states"])), doc["p"])
-    except KeyError as exc:
-        raise MarkovError(f"distribution JSON needs key {exc}") from exc
+def generator_from_json(doc: Any) -> MarkovGenerator:
+    states, rows = _json_fields(doc, "matrix", "rows")
+    return validate_generator(rows, states)
+
+
+def distribution_from_json(doc: Any) -> Distribution:
+    states, p = _json_fields(doc, "distribution", "p")
+    return Distribution.make(states, p)
 
 
 def distribution_to_json(f: Distribution) -> dict:

@@ -212,18 +212,19 @@ def counit_eval(operad: Operad, t: LabelledTree) -> Any:
     edges one at a time, in any order.
     """
     check_ctree(collection_of(operad), t)
-
-    def fold(u: int) -> Any:
+    if t.shape.root > 0:
+        return operad.identity
+    value: dict[int, Any] = {}
+    for u in reversed(t.shape.preorder):
+        if u > 0:
+            continue
         kids = t.shape.child_map[u]
         f = t.label(u)
         for pos in range(len(kids), 0, -1):
             if kids[pos - 1] < 0:
-                f = operad.compose(f, pos, fold(kids[pos - 1]))
-        return f
-
-    if t.shape.root > 0:
-        return operad.identity
-    f = fold(t.shape.root)
+                f = operad.compose(f, pos, value.pop(kids[pos - 1]))
+        value[u] = f
+    f = value[t.shape.root]
     positions = t.shape.leaf_order()
     if positions == tuple(range(1, t.n + 1)):
         return f
@@ -239,10 +240,6 @@ def counit_equivalent(operad: Operad, t1: LabelledTree, t2: LabelledTree) -> boo
 # ---------------------------------------------------------------------------
 # edge-weighted trees and their normal forms
 # ---------------------------------------------------------------------------
-
-def _fmt_len(x: float) -> str:
-    return repr(float(x) + 0.0)
-
 
 @dataclass(frozen=True)
 class WeightedTree:
@@ -274,10 +271,9 @@ class WeightedTree:
         return self.length_map[u]
 
     def canonical(self) -> tuple["WeightedTree", str]:
-        lens = self.length_map
         shape, key, rename = self.shape.canonical(
-            "unordered", edge_key=lambda u: _fmt_len(lens[u]))
-        new = {rename.get(u, u): x for u, x in lens.items()}
+            "unordered", labels=self.length_map)
+        new = {rename.get(u, u): x for u, x in self.lengths}
         return WeightedTree.make(shape, new), key
 
 
@@ -383,8 +379,7 @@ class PhyloTree:
                 raise PhyloInvariantError(
                     f"internal edge out of {u} has length zero")
         lens = {u: float(x) + 0.0 for u, x in lengths.items()}
-        canon, _, rename = shape.canonical(
-            "unordered", edge_key=lambda u: _fmt_len(lens[u]))
+        canon, _, rename = shape.canonical("unordered", labels=lens)
         inv = {new: old for old, new in rename.items()}
         packed = [lens[j] for j in range(1, shape.n + 1)]
         packed.extend(lens[inv[-(j + 1)]] for j in range(canon.num_vertices))

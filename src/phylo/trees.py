@@ -12,6 +12,11 @@ A planar tree additionally orders the children of every vertex.  The
 same concrete class carries both readings: compare planar-canonical
 forms for planar isomorphism, unordered-canonical forms for plain
 isomorphism of rooted trees.
+
+Tree walks go through one iterative depth-first order,
+``PlanarTree.preorder``, so no tree is too deep for the interpreter's
+stack.  ``PlanarTree.canonical`` is the one canonical encoder; edge
+lengths and vertex labels enter it as a node-label mapping.
 """
 
 from __future__ import annotations
@@ -100,15 +105,8 @@ class PlanarTree:
                 f"leaf labels {sorted(leaves)} do not cover 1..{self.n}")
         if {u for u in seen if u < 0} != vertex_ids:
             raise UnreachableRoot("some vertex is not connected to the root")
-        cmap = dict(self.children)
-        reached = 0
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            reached += 1
-            if u < 0:
-                stack.extend(cmap[u])
-        if reached != self.n + len(vertex_ids):
+        # every node has at most one parent here, so the walk terminates
+        if len(self.preorder) != self.n + len(vertex_ids):
             raise UnreachableRoot("some node cannot reach the root")
 
     # -- basic accessors -------------------------------------------------
@@ -125,6 +123,12 @@ class PlanarTree:
             for c in kids:
                 par[c] = v
         return par
+
+    @cached_property
+    def preorder(self) -> tuple[int, ...]:
+        """Every node, parents before children and children left to right.
+        Read in reverse, every node comes after all of its descendants."""
+        return _preorder(self.root, self.child_map)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -152,29 +156,11 @@ class PlanarTree:
         return tuple(v for v in self.vertices if self.parent[v] < 0)
 
     def leaves_below(self, u: int) -> frozenset[int]:
-        if u > 0:
-            return frozenset((u,))
-        acc: set[int] = set()
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x > 0:
-                acc.add(x)
-            else:
-                stack.extend(self.child_map[x])
-        return frozenset(acc)
+        return frozenset(x for x in _preorder(u, self.child_map) if x > 0)
 
     def leaf_order(self) -> tuple[int, ...]:
         """Leaf labels in planar (left to right, depth first) order."""
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            if x > 0:
-                out.append(x)
-            else:
-                stack.extend(reversed(self.child_map[x]))
-        return tuple(out)
+        return tuple(u for u in self.preorder if u > 0)
 
     # -- operations ------------------------------------------------------
 
@@ -240,16 +226,11 @@ class PlanarTree:
             if not self.is_internal_edge(u):
                 raise NotInternalEdge(f"edge out of {u} is not internal")
 
-        def splice(cs: tuple[int, ...]) -> tuple[int, ...]:
-            out: list[int] = []
-            for c in cs:
-                if c in gone:
-                    out.extend(splice(self.child_map[c]))
-                else:
-                    out.append(c)
-            return tuple(out)
-
-        kids = {v: splice(cs) for v, cs in self.children if v not in gone}
+        kids: dict[int, tuple[int, ...]] = {}
+        for v in reversed(self.preorder):
+            if v < 0:
+                kids[v] = tuple(x for c in self.child_map[v]
+                                for x in (kids.pop(c) if c in gone else (c,)))
         return PlanarTree(self.n, self.root, _freeze(kids))
 
     def contract_edge(self, u: int) -> "PlanarTree":
@@ -267,50 +248,57 @@ class PlanarTree:
     # -- canonical forms ---------------------------------------------------
 
     def canonical(self, mode: str = "unordered",
-                  edge_key: Callable[[int], str] | None = None,
-                  vertex_key: Callable[[int], str] | None = None,
+                  labels: Mapping[int, Any] | None = None,
+                  leaf_labels: bool = True,
                   ) -> tuple["PlanarTree", str, dict[int, int]]:
         """Canonical representative, its key string, and the vertex renaming.
 
         Two trees are isomorphic as planar trees (mode="planar") or as plain
         rooted trees (mode="unordered") exactly when their canonical keys
-        agree.  Vertices of the representative are renumbered -1, -2, ... in
-        depth-first order; in unordered mode children are sorted by their
-        encoding first.  ``edge_key``/``vertex_key`` let callers mix edge and
-        vertex labels into the encoding.
+        agree.  A leaf's key is "L" and its number (the number is left out
+        when ``leaf_labels`` is false), a vertex's key its children's keys
+        in parentheses, each prefixed by ``repr(labels[u]) + ":"`` for the
+        nodes in ``labels``.  Unordered mode sorts children by key text,
+        stably.  Vertices are renumbered -1, -2, ... in depth-first order.
         """
         if mode not in ("unordered", "planar"):
             raise ValueError(f"unknown mode {mode!r}")
-
-        def enc(u: int) -> tuple[str, tuple]:
-            prefix = edge_key(u) + ":" if edge_key else ""
+        if labels is None:
+            labels = {}
+        keys: dict[int, str] = {}
+        order: dict[int, tuple[int, ...]] = {}
+        for u in reversed(self.preorder):
+            head = repr(labels[u]) + ":" if u in labels else ""
             if u > 0:
-                return prefix + "L" + str(u), (u, ())
-            pieces = [enc(c) for c in self.child_map[u]]
+                keys[u] = head + "L" + str(u) if leaf_labels else head + "L"
+                continue
+            kids = self.child_map[u]
             if mode == "unordered":
-                pieces.sort(key=lambda p: p[0])
-            suffix = "@" + vertex_key(u) if vertex_key else ""
-            key = prefix + "(" + ",".join(p[0] for p in pieces) + ")" + suffix
-            return key, (u, tuple(p[1] for p in pieces))
-
-        key, order_tree = enc(self.root)
+                kids = tuple(sorted(kids, key=keys.__getitem__))
+            order[u] = kids
+            keys[u] = head + "(" + ",".join([keys.pop(c) for c in kids]) + ")"
         rename: dict[int, int] = {}
-        kids: dict[int, tuple[int, ...]] = {}
-
-        def rebuild(node: tuple) -> int:
-            u, sub = node
-            if u > 0:
-                return u
-            new = -(len(rename) + 1)
-            rename[u] = new
-            kids[new] = tuple(rebuild(s) for s in sub)
-            return new
-
-        root = rebuild(order_tree)
-        return PlanarTree(self.n, root, _freeze(kids)), key, rename
+        for u in _preorder(self.root, order):
+            if u < 0:
+                rename[u] = -(len(rename) + 1)
+        new_kids = {rename[v]: tuple([rename.get(c, c) for c in cs])
+                    for v, cs in order.items()}
+        root = rename.get(self.root, self.root)
+        return PlanarTree(self.n, root, _freeze(new_kids)), keys[self.root], rename
 
 
 RootedTree = PlanarTree
+
+
+def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
+    out: list[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if u < 0:
+            stack.extend(reversed(kids[u]))
+    return tuple(out)
 
 
 def _freeze(kids: Mapping[int, Sequence[int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -601,11 +589,8 @@ class LabelledTree:
             remaining.discard(u)
         return t
 
-    def canonical(self, mode: str = "unordered",
-                  label_key: Callable[[Any], str] = repr,
-                  ) -> tuple["LabelledTree", str]:
-        labels = self.label_map
-        shape, key, rename = self.shape.canonical(
-            mode, vertex_key=lambda v: label_key(labels[v]))
-        new_labels = {rename[v]: labels[v] for v in labels}
+    def canonical(self, mode: str = "unordered") -> tuple["LabelledTree", str]:
+        """Canonical representative and key; labels are compared by repr."""
+        shape, key, rename = self.shape.canonical(mode, labels=self.label_map)
+        new_labels = {rename[v]: lab for v, lab in self.vlabels}
         return LabelledTree.make(shape, new_labels), key

@@ -32,6 +32,13 @@ def brute_force_isomorphic(t1: PlanarTree, t2: PlanarTree,
     return False
 
 
+def caterpillar(depth: int) -> PlanarTree:
+    """Vertex -k holds leaf k and vertex -(k+1); the deepest holds two leaves."""
+    kids = {-k: (k, -(k + 1)) for k in range(1, depth)}
+    kids[-depth] = (depth, depth + 1)
+    return PlanarTree(depth + 1, -1, tuple(sorted(kids.items())))
+
+
 def expm_taylor(a: np.ndarray, terms: int = 30) -> np.ndarray:
     """Plain truncated exponential series, no scaling: the expm oracle."""
     total = np.eye(a.shape[0])

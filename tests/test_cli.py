@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phylo.cli import main
 from phylo.markov import expm, validate_generator
@@ -236,3 +242,92 @@ class TestOneLeafAndBadInputs:
     def test_perm_garbage_exit_one(self, capsys, tmp_path):
         path = write(tmp_path, "t.nwk", "(1:0,2:0):0;")
         assert run(capsys, "act", "--perm", "a,b", path)[0] == 1
+
+
+def exit_code(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+TREE = "(1:1,2:0.5):0.2;"
+FLIP_DOC = {"states": ["a", "b"], "rows": [[-1.0, 1.0], [1.0, -1.0]]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+numbers = st.integers() | st.floats()
+state_names = json_values | st.just(["a", "b"])
+
+
+class TestMalformedModelInputs:
+    @pytest.mark.parametrize("rows", [
+        [[math.nan, 1.0], [1.0, -1.0]],
+        [[-math.inf, 1.0], [math.inf, -1.0]],
+        [[-math.inf, math.inf], [math.inf, -math.inf]],
+    ])
+    def test_non_finite_model_exit_one(self, tmp_path, uniform_root, rows):
+        model = write(tmp_path, "H.json",
+                      json.dumps({"states": ["a", "b"], "rows": rows}))
+        tree = write(tmp_path, "t.nwk", TREE)
+        assert exit_code("limit", "--model", model) == 1
+        assert exit_code("evaluate", "--model", model, "--root", uniform_root,
+                         tree) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_nan_root_exit_one(self, capsys, tmp_path, flip_model, command):
+        root = write(tmp_path, "f.json",
+                     json.dumps({"states": ["a", "b"], "p": [math.nan, 1.0]}))
+        tree = write(tmp_path, "t.nwk", TREE)
+        extra = ["--seed", "1", "--samples", "10"] if command == "simulate" else []
+        code, out, _ = run(capsys, command, "--model", flip_model, "--root", root,
+                           *extra, tree)
+        assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"states": ["a"], "rows": [["x"]]},
+        {"states": ["a", "b"], "rows": [[-1.0, 1.0], [1.0]]},
+        {"states": [["a"], "b"], "rows": [[-1.0, 1.0], [1.0, -1.0]]},
+        {"rows": [[0.0]]},
+    ])
+    def test_malformed_model_exit_one(self, tmp_path, doc):
+        model = write(tmp_path, "H.json", json.dumps(doc))
+        assert exit_code("limit", "--model", model) == 1
+
+    def test_recompose_non_list_external_exit_one(self, tmp_path):
+        doc = {"metric": "(1:0,2:0):0;", "external": 5}
+        assert exit_code("recompose", write(tmp_path, "f.json", json.dumps(doc))) == 1
+
+    def test_simulate_size_cap_exit_one(self, capsys, tmp_path):
+        model = write(tmp_path, "H.json", json.dumps({
+            "states": list("ATCG"),
+            "rows": [[-3.0 if i == j else 1.0 for j in range(4)] for i in range(4)]}))
+        root = write(tmp_path, "f.json",
+                     json.dumps({"states": list("ATCG"), "p": [0.25] * 4}))
+        tree = write(tmp_path, "t.nwk",
+                     "(" + ",".join(f"{j}:0.5" for j in range(1, 15)) + "):0;")
+        code, _, err = run(capsys, "simulate", "--model", model, "--root", root,
+                           "--seed", "1", "--samples", "1", tree)
+        assert code == 1 and "cap" in err
+
+    @given(json_values | st.fixed_dictionaries({
+        "states": state_names,
+        "rows": json_values | st.lists(st.lists(numbers, max_size=3), max_size=3)}))
+    def test_any_model_json_exits_zero_or_one(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            model = write(Path(d), "H.json", json.dumps(doc))
+            assert exit_code("limit", "--model", model) in (0, 1)
+
+    @given(json_values | st.fixed_dictionaries({
+        "states": state_names,
+        "p": json_values | st.lists(numbers, max_size=3)}))
+    def test_any_root_json_exits_zero_or_one(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            model = write(Path(d), "H.json", json.dumps(FLIP_DOC))
+            root = write(Path(d), "f.json", json.dumps(doc))
+            tree = write(Path(d), "t.nwk", TREE)
+            assert exit_code("evaluate", "--model", model, "--root", root,
+                             tree) in (0, 1)

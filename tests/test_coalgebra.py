@@ -6,8 +6,10 @@ import pytest
 
 from phylo.coalgebra import (
     BadArity,
+    CoalgebraError,
     DomainError,
     IndexOutOfRange,
+    LeafTensor,
     ParameterOutOfRange,
     duplicate,
     duplicate_matrix,
@@ -25,6 +27,7 @@ from phylo.coalgebra import (
 )
 from phylo.markov import (
     Distribution,
+    MarkovError,
     NonFiniteTime,
     StateSpace,
     expm,
@@ -323,6 +326,25 @@ class TestTensorJson:
         doc = tensor_to_json(lt)
         back = tensor_from_json(doc)
         assert back.n == 2 and np.array_equal(back.data, lt.data)
+
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"states": ["a", "b"], "data": [0.5, 0.5]},
+        {"states": ["a", "b"], "n": "1", "data": [0.5, 0.5]},
+        {"states": ["a", "b"], "n": 10 ** 30, "data": [0.5, 0.5]},
+        {"states": ["a", "b"], "n": 1, "data": [0.5, 0.25, 0.25]},
+        {"states": ["a", "b"], "n": 1, "data": [["x"], [1]]},
+        {"states": ["a", "b"], "n": 1, "data": [math.nan, 1.0]},
+        {"states": "ab", "n": 1, "data": [0.5, 0.5]},
+    ])
+    def test_malformed_documents_rejected(self, doc):
+        with pytest.raises((CoalgebraError, MarkovError)):
+            tensor_from_json(doc)
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(MarkovError):
+            LeafTensor.make(BITS, 1, [math.inf, 0.0])
 
 
 class TestCaps:

@@ -10,6 +10,7 @@ from phylo.markov import (
     BadRate,
     ColumnSumNonzero,
     Distribution,
+    MarkovError,
     NegativeOffDiagonal,
     NegativeTime,
     NonFiniteTime,
@@ -18,6 +19,7 @@ from phylo.markov import (
     SizeCap,
     StateSpace,
     StateSpaceMismatch,
+    StochasticMatrix,
     expm,
     jukes_cantor,
     limit_operator,
@@ -56,6 +58,22 @@ class TestValidateGenerator:
             validate_generator([[0.0, 0.0]])
         with pytest.raises(ShapeMismatch):
             validate_generator(np.zeros((2, 2)), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(MarkovError):
+            validate_generator([[bad, 1.0], [1.0, -1.0]])
+        with pytest.raises(MarkovError):
+            validate_generator([[-bad, 1.0], [bad, -1.0]])
+        with pytest.raises(MarkovError):
+            Distribution.make(FLIP.states, [bad, 1.0])
+        with pytest.raises(MarkovError):
+            StochasticMatrix.make(FLIP.states, [[bad, 0.0], [0.0, 1.0]])
+
+    def test_huge_rates_rejected_by_expm(self):
+        g = validate_generator([[-1e302, 1e302], [1e302, -1e302]])
+        with pytest.raises(SizeCap):
+            expm(g, 1.0)
 
     def test_jukes_cantor_is_valid(self):
         g = jukes_cantor(0.7, 4)
@@ -235,6 +253,13 @@ class TestSimulate:
         emp = counts / counts.sum()
         exact = evaluate(t, FLIP, f).data
         assert 0.5 * np.abs(emp - exact).sum() < 0.05
+
+    def test_size_cap_checked_before_sampling(self):
+        g = jukes_cantor(1.0, 4)
+        t = PhyloTree.make(corolla(14), {u: 0.0 for u in corolla(14).nodes})
+        with pytest.raises(SizeCap):
+            simulate_branching(t, g, Distribution.uniform(g.states),
+                               seed=0, samples=1)
 
     def test_state_space_mismatch(self):
         f = Distribution.uniform(StateSpace(("x", "y")))

@@ -87,6 +87,18 @@ class TestSerialize:
         tb = PhyloTree.make(b, {**lens, -1: 0.6, -2: 0.7})
         assert serialize_newick(ta) == serialize_newick(tb)
 
+    @pytest.mark.parametrize("text, canon", [
+        # children sort by the text of their lengths: "0.05" < "0.0:", "10" < "2"
+        ("(1:2,2:10,3:0.05,4:0):0;", "(3:0.05,4:0,2:10,1:2):0;"),
+        ("(" + ",".join(f"{j}:0.5" for j in range(1, 12)) + "):0;",
+         "(" + ",".join(f"{j}:0.5" for j in (1, 10, 11, *range(2, 10))) + "):0;"),
+        # at equal length text a vertex comes before a leaf
+        ("((1:0,2:0):0.05,(3:0,4:0):0.5,5:0.05):0;",
+         "((1:0,2:0):0.05,5:0.05,(3:0,4:0):0.5):0;"),
+    ])
+    def test_canonical_child_order_is_text_order(self, text, canon):
+        assert serialize_newick(parse_newick(text)) == canon
+
     def test_extended_round_trip(self):
         t = PhyloTree.make(corolla(2), {1: math.inf, 2: 0.5, -1: math.inf},
                            extended=True)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FORMAL, formal_op
+from conftest import FORMAL, caterpillar, formal_op
 from phylo.operads import (
     ArityLabelMismatch,
     COM,
@@ -34,7 +34,14 @@ from phylo.operads import (
     unit_phylo,
 )
 from phylo.sampling import random_perm, random_phylo, random_shape, random_weighted
-from phylo.trees import LabelledTree, LeafIndexOutOfRange, corolla, make_tree, unit_tree
+from phylo.trees import (
+    LabelledTree,
+    LeafIndexOutOfRange,
+    PlanarTree,
+    corolla,
+    make_tree,
+    unit_tree,
+)
 
 
 def seeds():
@@ -120,6 +127,11 @@ class TestFreeOperad:
         f, g1, g2, g3 = (formal_op(x, k) for x, k in
                          (("f", 3), ("g1", 2), ("g2", 1), ("g3", 1)))
         assert got == ("comp", ("comp", ("comp", f, 3, g3), 2, g2), 1, g1)
+
+    def test_counit_deep_caterpillar(self):
+        t = caterpillar(5000)
+        lt = LabelledTree.make(t, {v: 2 for v in t.vertices})
+        assert counit_eval(COM, lt) == 5001
 
     def test_counit_additive_path(self):
         shape = make_tree(1, "a", {"a": ["b"], "b": [1]})
@@ -297,6 +309,15 @@ class TestPhyloBijection:
         assert to_phylo(from_phylo(p)) == p
         w = from_phylo(p)
         assert from_phylo(to_phylo(w)) == w
+
+    def test_deep_caterpillar(self):
+        t = caterpillar(5000)
+        mirror = PlanarTree(t.n, t.root,
+                            tuple((v, cs[::-1]) for v, cs in t.children))
+        lens = {u: 0.25 for u in t.nodes}
+        p = PhyloTree.make(t, lens)
+        assert p == PhyloTree.make(mirror, lens)
+        assert p.shape.num_vertices == 5000 and p.lengths == (0.25,) * 10001
 
     def test_not_reduced_rejected(self):
         shape = make_tree(2, "u", {"u": ["f"], "f": [1, 2]})

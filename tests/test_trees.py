@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FORMAL, brute_force_isomorphic, formal_op
+from conftest import FORMAL, brute_force_isomorphic, caterpillar, formal_op
 from phylo.sampling import random_perm, random_shape
 from phylo.trees import (
     EmptyEdgeSet,
@@ -343,6 +343,13 @@ class TestCanonicalForm:
             t = random_shape(rng, rng.randint(1, 6))
             rep, _ = canonical_form(t)
             assert brute_force_isomorphic(rep, t)
+
+
+    def test_deep_caterpillar(self):
+        t = caterpillar(5000)
+        assert t.leaf_order() == tuple(range(1, 5002))
+        rep, _, _ = t.canonical()
+        assert rep.leaf_order()[:3] == (5000, 5001, 4999)
 
 
 class TestValidateChildOrder:
