@@ -35,7 +35,12 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str) -> Any:
-    return json.loads(_read(path))
+    text = _read(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
 def _load_tree(path: str, allow_infinite: bool = False) -> PhyloTree:
@@ -46,29 +51,41 @@ def _emit_json(doc: Any) -> None:
     print(json.dumps(doc))
 
 
+def _json_length(x: Any) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise MalformedLabelling(f"length {x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise MalformedLabelling(f"length {x!r} is too large") from exc
+
+
 def _weighted_from_json(doc: Any) -> WeightedTree:
-    kids: dict[int, tuple[int, ...]] = {}
+    kids: dict[int, list[int]] = {}
     lengths: dict[int, float] = {}
     leaves: list[int] = []
-    counter = [0]
-
-    def walk(node: Any) -> int:
+    root = 0
+    stack = [(doc, 0)]  # (node, id of the vertex it hangs from; 0 at the root)
+    while stack:
+        node, parent = stack.pop()
         if not isinstance(node, dict) or "length" not in node:
             raise MalformedLabelling("each node needs a 'length'")
         if "leaf" in node:
-            leaf = int(node["leaf"])
-            leaves.append(leaf)
-            lengths[leaf] = float(node["length"])
-            return leaf
-        if "children" not in node:
-            raise MalformedLabelling("each node needs 'leaf' or 'children'")
-        counter[0] -= 1
-        v = counter[0]
-        kids[v] = tuple(walk(c) for c in node["children"])
-        lengths[v] = float(node["length"])
-        return v
-
-    root = walk(doc)
+            u = node["leaf"]
+            if isinstance(u, bool) or not isinstance(u, int):
+                raise MalformedLabelling(f"leaf label {u!r} is not an integer")
+            leaves.append(u)
+        elif isinstance(node.get("children"), list):
+            u = -(len(kids) + 1)
+            kids[u] = []
+            stack.extend((c, u) for c in reversed(node["children"]))
+        else:
+            raise MalformedLabelling("each node needs 'leaf' or a list of 'children'")
+        lengths[u] = _json_length(node["length"])
+        if parent:
+            kids[parent].append(u)
+        else:
+            root = u
     n = len(leaves)
     if sorted(leaves) != list(range(1, n + 1)):
         raise MalformedLabelling(f"leaf labels must be 1..{n}")
@@ -302,6 +319,7 @@ _INPUT_ERRORS = (
     coalgebra.CoalgebraError,
     newick.NewickError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     OSError,
     KeyError,
 )

@@ -11,9 +11,10 @@ vertices with fewer than two children).  This module provides:
   and of extended nonnegative lengths; planar trees; phylogenetic trees),
 * the free operad on a collection, realized as vertex-labelled trees,
   with the counit that evaluates such a tree down to a single operation,
-* the rewrite engine taking any mixed vertex/edge-labelled tree to its
-  unique normal form, and the bijection between normal forms and
-  ``PhyloTree`` values.
+* ``normal_form``, which takes any mixed vertex/edge-labelled tree to its
+  unique reduced form in one pass; the single moves (``applicable_moves``,
+  ``apply_move``) are the reference rewrite system it is checked against,
+* the bijection between normal forms and ``PhyloTree`` values.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .trees import (
     LeafIndexOutOfRange,
     PlanarTree,
     _freeze,
-    _node_depth,
     invert_perm,
     unit_tree,
 )
@@ -206,25 +206,14 @@ def free_compose(col: Collection, outer: LabelledTree, i: int,
 def counit_eval(operad: Operad, t: LabelledTree) -> Any:
     """Evaluate a tree labelled by operations of ``operad`` to one operation.
 
-    Folds each vertex's label with its children's values, composing into
-    slots from the right so earlier slot indices stay valid, then corrects
-    for the leaf labelling.  Equals the result of contracting the internal
-    edges one at a time, in any order.
+    Contracts every internal edge at once, then corrects for the leaf
+    labelling; equals contracting them one at a time, in any order.
     """
     check_ctree(collection_of(operad), t)
     if t.shape.root > 0:
         return operad.identity
-    value: dict[int, Any] = {}
-    for u in reversed(t.shape.preorder):
-        if u > 0:
-            continue
-        kids = t.shape.child_map[u]
-        f = t.label(u)
-        for pos in range(len(kids), 0, -1):
-            if kids[pos - 1] < 0:
-                f = operad.compose(f, pos, value.pop(kids[pos - 1]))
-        value[u] = f
-    f = value[t.shape.root]
+    t = t.contract_edges(t.shape.internal_edge_sources(), operad.compose)
+    f = t.label(t.shape.root)
     positions = t.shape.leaf_order()
     if positions == tuple(range(1, t.n + 1)):
         return f
@@ -319,20 +308,25 @@ def apply_move(w: WeightedTree, move: tuple[str, int]) -> WeightedTree:
 
 def normal_form(w: WeightedTree) -> WeightedTree:
     """The unique reduced form: no unary vertices, no zero-length internal
-    edge, adjacent lengths summed.  Moves are applied innermost first; the
-    result does not depend on that choice.  Returns the canonical
-    representative."""
+    edge, adjacent lengths summed.  One pass from the leaves up removes the
+    unary vertices, adding each one's length to its child's, so a chain sums
+    from the innermost vertex out; then the zero-length internal edges are
+    contracted at once.  Returns the canonical representative."""
     _check_weighted(w)
-    budget = w.shape.num_vertices
-    while True:
-        moves = applicable_moves(w)
-        if not moves:
-            break
-        move = max(moves, key=lambda mv: (_node_depth(w.shape, mv[1]), mv[1]))
-        w = apply_move(w, move)
-        budget -= 1
-        assert budget >= 0, "a rewrite step failed to remove a vertex"
-    return w.canonical()[0]
+    lens = dict(w.length_map)
+    below: dict[int, int] = {}  # removed unary vertex -> node now in its place
+    for v in reversed(w.shape.preorder):
+        cs = w.shape.child_map.get(v, ())
+        if len(cs) == 1:
+            c = below.get(cs[0], cs[0])
+            lens[c] = lens[c] + lens.pop(v)
+            below[v] = c
+    kids = {v: tuple(below.get(c, c) for c in cs)
+            for v, cs in w.shape.children if v not in below}
+    shape = PlanarTree(w.n, below.get(w.shape.root, w.shape.root), _freeze(kids))
+    shape = shape.contract_edges(
+        v for v in shape.internal_edge_sources() if lens[v] == 0.0)
+    return WeightedTree.make(shape, {u: lens[u] for u in shape.nodes}).canonical()[0]
 
 
 def is_reduced(w: WeightedTree) -> bool:

@@ -215,9 +215,9 @@ class PlanarTree:
     def contract_edges(self, sources: Iterable[int]) -> "PlanarTree":
         """Contract the internal edges out of ``sources``, merging endpoints.
 
-        Each contracted vertex's children are spliced into its parent's
-        child order at the contracted edge's position.  The surviving merged
-        vertex keeps the lowest target's id.
+        One preorder pass hangs each kept node from its nearest kept
+        ancestor, so a contracted vertex's children take its place in its
+        parent's child order.  The merged vertex keeps the topmost id.
         """
         gone = set(sources)
         for u in gone:
@@ -226,11 +226,12 @@ class PlanarTree:
             if not self.is_internal_edge(u):
                 raise NotInternalEdge(f"edge out of {u} is not internal")
 
-        kids: dict[int, tuple[int, ...]] = {}
-        for v in reversed(self.preorder):
-            if v < 0:
-                kids[v] = tuple(x for c in self.child_map[v]
-                                for x in (kids.pop(c) if c in gone else (c,)))
+        top = {self.root: self.root}  # nearest kept node at or above
+        kids: dict[int, list[int]] = {v: [] for v in self.vertices if v not in gone}
+        for u in self.preorder[1:]:
+            top[u] = top[self.parent[u]] if u in gone else u
+            if u not in gone:
+                kids[top[self.parent[u]]].append(u)
         return PlanarTree(self.n, self.root, _freeze(kids))
 
     def contract_edge(self, u: int) -> "PlanarTree":
@@ -303,14 +304,6 @@ def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
 
 def _freeze(kids: Mapping[int, Sequence[int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(sorted((v, tuple(cs)) for v, cs in kids.items()))
-
-
-def _node_depth(shape: PlanarTree, u: int) -> int:
-    d = 0
-    while u != 0:
-        u = shape.parent[u]
-        d += 1
-    return d
 
 
 def _inverse_perm(sigma: Sequence[int], n: int) -> dict[int, int]:
@@ -578,16 +571,21 @@ class LabelledTree:
 
     def contract_edges(self, sources: Iterable[int],
                        compose: Callable[[Any, int, Any], Any]) -> "LabelledTree":
-        """Contract several internal edges, innermost first, so nested merges
-        read as f o_i (g o_j h).  Any order gives the same result when
-        ``compose`` is operadic composition."""
-        t = self
-        remaining = set(sources)
-        while remaining:
-            u = max(remaining, key=lambda v: (_node_depth(t.shape, v), v))
-            t = t.contract_edge(u, compose)
-            remaining.discard(u)
-        return t
+        """Contract several internal edges in one pass from the leaves up.
+        A vertex composes its contracted children from the right, so slot
+        indices stay valid: f over contracted g, h becomes (f o_2 h) o_1 g,
+        and nested merges read as f o_i (g o_j h).  Any order gives the same
+        result when ``compose`` is operadic composition."""
+        gone = set(sources)
+        shape = self.shape.contract_edges(gone)
+        labels = dict(self.vlabels)
+        child_map = self.shape.child_map
+        for v in reversed(self.shape.preorder):
+            kids = child_map.get(v, ())
+            for pos in range(len(kids), 0, -1):
+                if kids[pos - 1] in gone:
+                    labels[v] = compose(labels[v], pos, labels.pop(kids[pos - 1]))
+        return LabelledTree.make(shape, labels)
 
     def canonical(self, mode: str = "unordered") -> tuple["LabelledTree", str]:
         """Canonical representative and key; labels are compared by repr."""

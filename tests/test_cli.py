@@ -331,3 +331,58 @@ class TestMalformedModelInputs:
             tree = write(Path(d), "t.nwk", TREE)
             assert exit_code("evaluate", "--model", model, "--root", root,
                              tree) in (0, 1)
+
+
+def unary_chain(depth: int) -> str:
+    """Leaf 1 (length 0.5) under ``depth`` unary vertices of length 0.25."""
+    return ('{"children": [' * depth + '{"leaf": 1, "length": 0.5}'
+            + '], "length": 0.25}' * depth)
+
+
+tree_json = st.recursive(
+    st.fixed_dictionaries({"leaf": json_values | st.integers(1, 3),
+                           "length": json_values | numbers}),
+    lambda inner: st.fixed_dictionaries({
+        "children": json_values | st.lists(inner, max_size=3),
+        "length": json_values | numbers}),
+    max_leaves=6)
+
+
+class TestMalformedTreeInputs:
+    @pytest.mark.parametrize("doc", [
+        {"leaf": "x", "length": 0},
+        {"leaf": 1.0, "length": 0},
+        {"leaf": True, "length": 0},
+        {"children": 5, "length": 0},
+        {"leaf": 1, "length": "0.5"},
+        {"leaf": 1, "length": None},
+        {"leaf": 1, "length": 10 ** 400},
+        {"children": [{"leaf": 1, "length": 0}, {"leaf": 1, "length": 0}],
+         "length": 0},
+    ])
+    def test_malformed_reduce_exit_one(self, capsys, tmp_path, doc):
+        code, out, err = run(capsys, "reduce",
+                             write(tmp_path, "w.json", json.dumps(doc)))
+        assert code == 1 and out == "" and "error" in err
+
+    @given(json_values | tree_json)
+    def test_any_reduce_json_exits_zero_or_one(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            path = write(Path(d), "w.json", json.dumps(doc))
+            assert exit_code("reduce", path) in (0, 1)
+
+    def test_deep_unary_chain_reduces(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "reduce",
+                           write(tmp_path, "w.json", unary_chain(300)))
+        assert code == 0 and out == "1:75.5;\n"
+
+    def test_too_deep_json_exit_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "reduce",
+                             write(tmp_path, "w.json", unary_chain(5000)))
+        assert code == 1 and out == "" and "nested too deeply" in err
+
+    def test_undecodable_bytes_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xff\xfe(1:0,2:0):0;")
+        assert run(capsys, "canon", str(path))[0] == 1
+        assert run(capsys, "limit", "--model", str(path))[0] == 1

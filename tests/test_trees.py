@@ -272,6 +272,16 @@ class TestSubtree:
         assert merged == ("comp", formal_op("f", 2), 2,
                           ("comp", formal_op("h", 3), 1, formal_op("k", 0)))
 
+    def test_labelled_sibling_contraction_nests_right_to_left(self):
+        t = self.host()
+        f, g, h, k = self.ids(t)
+        ops = {f: formal_op("f", 2), g: formal_op("g", 2),
+               h: formal_op("h", 3), k: formal_op("k", 0)}
+        out = LabelledTree.make(t, ops).contract_edges((g, h), FORMAL.compose)
+        assert out.shape.child_map[out.shape.root] == (2, 1, k, 4, 3)
+        assert out.label(out.shape.root) == (
+            "comp", ("comp", ops[f], 2, ops[h]), 1, ops[g])
+
     def test_contraction_order_independent(self):
         rng = random.Random(5)
         for _ in range(30):
