@@ -3,6 +3,10 @@
 Tree-valued results print as canonical Newick text; structured results
 print as JSON.  Diagnostics go to stderr.  Exit codes: 0 success, 1 bad
 input, 2 internal invariant violation, 3 numeric non-convergence.
+
+Each command imports the layers it calls, so the tree-only commands start
+without numpy: only evaluate, limit, jc, simulate and wcheck load the Markov
+layers, and only decompose, recompose, topologies and dist load tree space.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import os
 import sys
 from typing import Any, Sequence
 
-from . import coalgebra, markov, newick, operads, treespace
+from . import newick, operads
 from .operads import MalformedLabelling, PhyloTree, WeightedTree
-from .trees import PlanarTree, TreeError, _freeze
+from .trees import PhyloError, PlanarTree, TreeError, _freeze
 
 
 def reporting_tol() -> float:
@@ -141,6 +145,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from . import treespace
     t = _load_tree(args.tree)
     if t.n == 1:
         unit, length = treespace.decompose1(t)
@@ -154,11 +159,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_recompose(args: argparse.Namespace) -> int:
+    from . import treespace
     doc = _read_json(args.factors)
     try:
         metric = doc["metric"].strip()
         ext = [float(x) for x in doc["external"]]
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise TreeError('factors JSON needs "metric" Newick text and an '
                         f'"external" list of numbers: {exc}') from exc
     m_tree = newick.parse_newick(metric)
@@ -174,6 +180,7 @@ def _cmd_recompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_topologies(args: argparse.Namespace) -> int:
+    from . import treespace
     tops = treespace.enumerate_binary_topologies(args.n)
     strings = sorted(_shape_string(o.shape) for o in tops)
     _emit_json({"n": args.n, "count": len(strings), "topologies": strings})
@@ -181,6 +188,7 @@ def _cmd_topologies(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    from . import treespace
     x = treespace.MetricTree(_load_tree(args.x))
     y = treespace.MetricTree(_load_tree(args.y))
     d = treespace.bhv_distance(x, y, mode=args.mode)
@@ -189,6 +197,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import coalgebra, markov
     g = markov.generator_from_json(_read_json(args.model))
     f = markov.distribution_from_json(_read_json(args.root))
     t = _load_tree(args.tree, allow_infinite=args.extended)
@@ -204,6 +213,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
+    from . import markov
     g = markov.generator_from_json(_read_json(args.model))
     p = markov.limit_operator(g)
     _emit_json(markov.matrix_to_json(p.states, p.M))
@@ -211,12 +221,14 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_jc(args: argparse.Namespace) -> int:
+    from . import markov
     g = markov.jukes_cantor(args.mu, args.k)
     _emit_json(markov.matrix_to_json(g.states, g.H))
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import markov
     g = markov.generator_from_json(_read_json(args.model))
     f = markov.distribution_from_json(_read_json(args.root))
     t = _load_tree(args.tree)
@@ -229,6 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_wcheck(args: argparse.Namespace) -> int:
+    from . import coalgebra
     t = _load_tree(args.tree, allow_infinite=True)
     _emit_json({"w_member": coalgebra.w_membership(t)})
     return 0
@@ -311,30 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_INPUT_ERRORS = (
-    TreeError,
-    operads.OperadError,
-    treespace.TreeSpaceError,
-    markov.MarkovError,
-    coalgebra.CoalgebraError,
-    newick.NewickError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-    OSError,
-    KeyError,
-)
+_INPUT_ERRORS = (PhyloError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except markov.NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
     except Exception as exc:  # noqa: BLE001 - invariant violation, report as a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -29,9 +29,10 @@ from .markov import (
     expm,
 )
 from .operads import PhyloTree
+from .trees import PhyloError
 
 
-class CoalgebraError(ValueError):
+class CoalgebraError(PhyloError):
     pass
 
 

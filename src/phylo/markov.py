@@ -16,6 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .operads import PhyloTree
+from .trees import PhyloError
 
 COLUMN_SUM_TOL = 1e-10
 GENERATOR_SUM_TOL = 1e-12
@@ -23,11 +24,16 @@ NEGATIVE_CLAMP = 1e-12
 LIMIT_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-8
 MAX_DOUBLINGS = 64
-# most entries a joint leaf tensor (evaluated or simulated) may have
+# most entries a joint leaf tensor (evaluated or simulated), a generator
+# or a sample vector may have
 TENSOR_CAP = 10 ** 6
+# most state changes a simulation may expect to draw: samples x the fastest
+# exit rate x the summed edge lengths.  The jump chain runs about rate x
+# length rounds along an edge, so this also bounds its rounds.
+JUMP_CAP = 10 ** 7
 
 
-class MarkovError(ValueError):
+class MarkovError(PhyloError):
     pass
 
 
@@ -52,7 +58,7 @@ class NonFiniteTime(MarkovError):
 
 
 class NoConvergence(MarkovError):
-    pass
+    exit_code = 3
 
 
 class SizeCap(MarkovError):
@@ -275,6 +281,8 @@ def jukes_cantor(mu: float, k: int = 4) -> MarkovGenerator:
         raise BadRate(f"rate must be finite and positive, got {mu!r}")
     if not (isinstance(k, int) and k >= 2):
         raise BadAlphabet(f"alphabet size must be an int >= 2, got {k!r}")
+    if k * k > TENSOR_CAP:
+        raise SizeCap(f"{k}x{k} generator entries exceed the cap {TENSOR_CAP}")
     labels = DNA if k == 4 else tuple(f"S{i}" for i in range(k))
     H = np.full((k, k), float(mu))
     np.fill_diagonal(H, -(k - 1) * float(mu))
@@ -351,19 +359,28 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
     length, copy the state to every child at each vertex.  Deterministic
     for a fixed seed.  Returns an integer array of shape (size,) * n."""
     _check_same_states(g.states, root.states)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise MarkovError(f"seed must be an int >= 0, got {seed!r}")
     if samples < 1:
         raise MarkovError("need at least one sample")
+    if samples > TENSOR_CAP:
+        raise SizeCap(f"{samples} samples exceed the cap {TENSOR_CAP}")
     if tree.is_extended:
         raise NonFiniteTime("simulation needs finite edge lengths")
     s = g.size
     if s ** tree.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{tree.n} count entries exceed the cap {TENSOR_CAP}")
+    H = np.asarray(g.H)
+    rate = float(-np.diag(H).min())
+    length = sum(tree.length(u) for u in tree.shape.preorder)
+    if samples * rate * length > JUMP_CAP:
+        raise SizeCap(f"{samples} samples x rate {rate:g} x length {length:g} "
+                      f"exceed the cap of {JUMP_CAP} expected jumps")
     rng = np.random.default_rng(seed)
     cut = np.cumsum(root.p)
     start = np.searchsorted(cut, rng.random(samples), side="right")
     # 0 is the root marker: the state flowing into the root edge
     states = {0: np.minimum(start, s - 1).astype(np.int64)}
-    H = np.asarray(g.H)
     for u in tree.shape.preorder:
         p = tree.shape.parent[u]
         # a vertex's state is dropped once its last child has used it

@@ -19,10 +19,10 @@ import math
 import re
 
 from .operads import PhyloTree
-from .trees import PlanarTree, _freeze
+from .trees import PhyloError, PlanarTree, _freeze
 
 
-class NewickError(ValueError):
+class NewickError(PhyloError):
     pass
 
 

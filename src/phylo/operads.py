@@ -28,6 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .trees import (
     LabelledTree,
     LeafIndexOutOfRange,
+    PhyloError,
     PlanarTree,
     _freeze,
     invert_perm,
@@ -35,7 +36,7 @@ from .trees import (
 )
 
 
-class OperadError(ValueError):
+class OperadError(PhyloError):
     pass
 
 

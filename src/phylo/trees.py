@@ -26,7 +26,14 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
-class TreeError(ValueError):
+class PhyloError(ValueError):
+    """Base class of every error the package raises on bad input.
+    ``exit_code`` is the status the ``phylo`` command exits with."""
+
+    exit_code = 1
+
+
+class TreeError(PhyloError):
     """Base class for tree construction and manipulation errors."""
 
 

@@ -21,10 +21,10 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .operads import PhyloTree
-from .trees import PlanarTree, _freeze, unit_tree
+from .trees import PhyloError, PlanarTree, _freeze, unit_tree
 
 
-class TreeSpaceError(ValueError):
+class TreeSpaceError(PhyloError):
     pass
 
 

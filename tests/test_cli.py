@@ -1,7 +1,13 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import os
+import pkgutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import phylo
 from phylo.cli import main
 from phylo.markov import expm, validate_generator
 from phylo.newick import parse_newick
+from phylo.trees import PhyloError
 
 
 def run(capsys, *argv):
@@ -201,12 +209,24 @@ class TestErrorChannels:
                                         flip_model):
         from phylo import markov
 
-        def boom(g):
-            raise RuntimeError("bug")
+        for error in (RuntimeError, KeyError):  # a stray KeyError is a bug too
+            def boom(g):
+                raise error("bug")
 
-        monkeypatch.setattr(markov, "limit_operator", boom)
-        code, _, err = run(capsys, "limit", "--model", flip_model)
-        assert code == 2 and "internal error" in err
+            monkeypatch.setattr(markov, "limit_operator", boom)
+            code, _, err = run(capsys, "limit", "--model", flip_model)
+            assert code == 2 and "internal error" in err
+
+    def test_every_error_class_is_a_phylo_error(self):
+        classes = []
+        for info in pkgutil.iter_modules(phylo.__path__):
+            module = importlib.import_module(f"phylo.{info.name}")
+            classes += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                        if issubclass(c, BaseException)
+                        and c.__module__ == module.__name__]
+        assert [c for c in classes if not issubclass(c, PhyloError)] == []
+        assert issubclass(PhyloError, ValueError)
+        assert {c.__name__ for c in classes if c.exit_code != 1} == {"NoConvergence"}
 
     def test_reporting_tolerance_env(self, monkeypatch):
         from phylo.cli import reporting_tol
@@ -313,6 +333,22 @@ class TestMalformedModelInputs:
                            "--seed", "1", "--samples", "1", tree)
         assert code == 1 and "cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        "jc --mu 1 --k 100000",
+        "simulate --seed 1 --samples 1000000000 {tree}",
+        "simulate --seed 1 --samples 5 {huge}",
+        "simulate --seed -1 --samples 5 {tree}",
+    ])
+    def test_oversized_request_exit_one(self, capsys, tmp_path, flip_model,
+                                        uniform_root, argv):
+        paths = {"tree": write(tmp_path, "t.nwk", TREE),
+                 "huge": write(tmp_path, "h.nwk", "(1:1e308,2:1e308):1e308;")}
+        argv = [a.format(**paths) for a in argv.split()]
+        if argv[0] == "simulate":
+            argv[1:1] = ["--model", flip_model, "--root", uniform_root]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     @given(json_values | st.fixed_dictionaries({
         "states": state_names,
         "rows": json_values | st.lists(st.lists(numbers, max_size=3), max_size=3)}))
@@ -386,3 +422,47 @@ class TestMalformedTreeInputs:
         path.write_bytes(b"\xff\xfe(1:0,2:0):0;")
         assert run(capsys, "canon", str(path))[0] == 1
         assert run(capsys, "limit", "--model", str(path))[0] == 1
+
+
+# -- import boundary ----------------------------------------------------------
+
+SRC = Path(phylo.__file__).resolve().parent.parent
+WATCHED = ("numpy", "phylo.markov", "phylo.coalgebra", "phylo.treespace")
+METRIC = "((1:0,2:0):1,(3:0,4:0):1):0;"
+
+
+def modules_after(code: str, *argv: str, cwd=None) -> set[str]:
+    """The modules in WATCHED that ``code`` loads in a fresh interpreter."""
+    probe = code + f"\nprint(' '.join(m for m in {WATCHED!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_phylo_loads_no_numpy():
+    assert modules_after("import sys, phylo") == set()
+
+
+@pytest.mark.parametrize("argv, tree_space", [
+    ("validate m.nwk", False),
+    ("canon m.nwk", False),
+    ("compose --at 1 m.nwk m.nwk", False),
+    ("act --perm 2,1,3,4 m.nwk", False),
+    ("reduce w.json", False),
+    ("decompose m.nwk", True),
+    ("recompose f.json", True),
+    ("topologies --n 4", True),
+    ("dist m.nwk m.nwk", True),
+], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
+def test_tree_only_commands_skip_numpy(tmp_path, argv, tree_space):
+    write(tmp_path, "m.nwk", METRIC)
+    write(tmp_path, "w.json", json.dumps(
+        {"children": [{"leaf": 1, "length": 0.5}, {"leaf": 2, "length": 0}],
+         "length": 0}))
+    write(tmp_path, "f.json", json.dumps({"metric": METRIC, "external": [0.0] * 5}))
+    loaded = modules_after("import sys\nfrom phylo.cli import main\n"
+                           "assert main(sys.argv[1:]) == 0",
+                           *argv.split(), cwd=tmp_path)
+    assert loaded == ({"phylo.treespace"} if tree_space else set())
