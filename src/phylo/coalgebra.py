@@ -104,20 +104,12 @@ def duplicate(k: int, f: Distribution) -> LeafTensor:
     return LeafTensor.make(f.states, k, m @ f.p)
 
 
-def _vertex_operator(subs: list[np.ndarray], a: np.ndarray) -> np.ndarray:
-    """Copy the state into each child's operator, multiplying them in order,
-    then evolve along the edge matrix ``a``.  A function of its own, so the
-    partial products are freed before the caller's next allocation."""
-    cur = subs[0]
-    for sub in subs[1:]:
-        left = cur.reshape(cur.shape[:-1] + (1,) * (sub.ndim - 1) + (a.shape[0],))
-        cur = left * sub[(None,) * (cur.ndim - 1)]
-    return np.tensordot(cur, a, axes=([-1], [0]))
-
-
-def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
-    """The tree as a matrix of shape (size**n, size): column x is the joint
-    leaf tensor produced from the point distribution at state x."""
+def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
+    """Push ``start`` down the tree: evolve it along the root edge, then at
+    each vertex replace the vertex's state axis by one axis per child,
+    copying the state and evolving along each child edge.  ``start`` is a
+    vector (size,) or a matrix (size, m) whose columns are pushed alike;
+    the result has axes (leaf 1, ..., leaf n) and then the column axis."""
     s = g.size
     if s ** t.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
@@ -128,17 +120,31 @@ def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
     rep, _, rename = t.shape.canonical("unordered", labels=lengths,
                                        leaf_labels=False)
     lens = {rename.get(u, u): x for u, x in lengths.items()}
-    # ops[u]: linear map from the state below u's edge to the tensor over
-    # the leaves above it, axes (leaves in planar order ..., input)
-    ops: dict[int, np.ndarray] = {}
-    for u in reversed(rep.preorder):
-        x = lens[u]
-        a = np.asarray(g.limit.M if math.isinf(x) else expm(g, x).M)
-        ops[u] = a if u > 0 else _vertex_operator(
-            [ops.pop(c) for c in rep.child_map[u]], a)
-    order = np.argsort(rep.leaf_order())
-    op = np.transpose(ops[rep.root], tuple(order) + (t.n,))
-    return op.reshape(s ** t.n, s)
+    # one transition matrix per distinct length of this tree
+    mats = {x: np.asarray(g.limit.M if math.isinf(x) else expm(g, x).M)
+            for x in set(lens.values())}
+    cur = mats[lens[rep.root]] @ start
+    # the node of each axis of cur; n + 1 marks the column axis
+    axes = [rep.root] + [t.n + 1] * (cur.ndim - 1)
+    for u in rep.preorder:
+        if u > 0:
+            continue
+        kids = rep.child_map[u]
+        # d[y_1, ..., y_k, v]: the product of the child edges' entries
+        d = mats[lens[kids[0]]]
+        for c in kids[1:]:
+            d = d[..., None, :] * mats[lens[c]]
+        p = axes.index(u)
+        cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
+        axes = axes[:p] + axes[p + 1:] + list(kids)
+    return np.transpose(cur, np.argsort(axes))
+
+
+def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
+    """The tree as a matrix of shape (size**n, size): column x is the joint
+    leaf tensor produced from the point distribution at state x."""
+    s = g.size
+    return _push(t, g, np.eye(s)).reshape(s ** t.n, s)
 
 
 def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
@@ -146,8 +152,7 @@ def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
     _check_same_states(g.states, f.states)
     if t.is_extended:
         raise NonFiniteTime("tree has infinite lengths; use evaluate_extended")
-    return LeafTensor.make(g.states, t.n, evaluate_operator(t, g) @ f.p,
-                           stochastic=True)
+    return LeafTensor.make(g.states, t.n, _push(t, g, f.p), stochastic=True)
 
 
 def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
@@ -155,8 +160,7 @@ def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
     """As ``evaluate``; edges of infinite length apply the equilibrium
     projector (cached per generator)."""
     _check_same_states(g.states, f.states)
-    return LeafTensor.make(g.states, t.n, evaluate_operator(t, g) @ f.p,
-                           stochastic=True)
+    return LeafTensor.make(g.states, t.n, _push(t, g, f.p), stochastic=True)
 
 
 def marginal(lt: LeafTensor, leaf: int) -> Distribution:

@@ -104,6 +104,8 @@ class StateSpace:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise MarkovError(f"unknown state {label!r}; states are {self.labels}")
         return self.labels.index(label)
 
 
@@ -344,11 +346,8 @@ def _evolve(rng: np.random.Generator, H: np.ndarray, start: np.ndarray,
         jump = active[rem > 0]
         if jump.size:
             u = rng.random(jump.size)
-            targets = np.empty(jump.size, dtype=np.int64)
-            xs = x[jump]
-            for j in np.unique(xs):
-                mask = xs == j
-                targets[mask] = np.searchsorted(cum[j], u[mask], side="right")
+            # the first state whose cumulative jump probability exceeds u
+            targets = (cum[x[jump]] <= u[:, None]).sum(axis=1)
             x[jump] = np.minimum(targets, s - 1)
 
 

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phylo import coalgebra
 from phylo.coalgebra import (
     BadArity,
     CoalgebraError,
@@ -29,11 +32,14 @@ from phylo.markov import (
     Distribution,
     MarkovError,
     NonFiniteTime,
+    SizeCap,
     StateSpace,
     expm,
     jukes_cantor,
+    site_product,
     validate_generator,
 )
+from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, phylo_act, phylo_compose, unit_phylo
 from phylo.sampling import random_perm, random_phylo
 from phylo.trees import corolla, invert_perm
@@ -172,6 +178,101 @@ class TestEvaluate:
                            extended=True)
         with pytest.raises(NonFiniteTime):
             evaluate(t, FLIP, dist(0.5, 0.5))
+
+
+def random_generator(rng, k):
+    h = np.array([[rng.uniform(0, 2) for _ in range(k)] for _ in range(k)])
+    np.fill_diagonal(h, 0.0)
+    h -= np.diag(h.sum(axis=0))
+    return validate_generator(h)
+
+
+def random_root(rng, states):
+    p = np.array([rng.uniform(0.1, 1) for _ in range(states.size)])
+    return Distribution.make(states, p / p.sum())
+
+
+def brute_force(t, g, f):
+    """The joint leaf law as a sum over the states of the vertices of the
+    product of one transition entry per edge."""
+    shape = t.shape
+    a = {u: np.asarray(expm(g, t.length(u)).M) for u in shape.preorder}
+    w = a[shape.root] @ f.p
+    inner = [u for u in shape.preorder if u < 0]
+    if not inner:
+        return w
+    out = np.zeros((g.size,) * t.n)
+    for xs in itertools.product(range(g.size), repeat=len(inner)):
+        x = dict(zip(inner, xs))
+        weight = w[x[shape.root]]
+        for u in inner[1:]:
+            weight *= a[u][x[u], x[shape.parent[u]]]
+        legs = np.ones(())
+        for j in range(1, t.n + 1):
+            legs = np.multiply.outer(legs, a[j][:, x[shape.parent[j]]])
+        out += weight * legs
+    return out
+
+
+class TestPushOracle:
+    def test_matches_brute_force(self):
+        rng = random.Random(23)
+        for s in (2, 3):
+            for _ in range(25):
+                g = random_generator(rng, s)
+                f = random_root(rng, g.states)
+                t = random_phylo(rng, rng.randint(1, 5))
+                got = evaluate(t, g, f).data
+                assert np.abs(got - brute_force(t, g, f)).max() < 1e-12
+
+    def test_matches_brute_force_on_site_pairs(self):
+        rng = random.Random(29)
+        for _ in range(6):
+            g = site_product(random_generator(rng, 4), 2)
+            f = random_root(rng, g.states)
+            t = random_phylo(rng, rng.randint(1, 3))
+            got = evaluate(t, g, f).data
+            assert np.abs(got - brute_force(t, g, f)).max() < 1e-12
+
+    def test_one_expm_per_distinct_length(self, monkeypatch):
+        calls = []
+
+        def counting(g, x):
+            calls.append(x)
+            return expm(g, x)
+
+        monkeypatch.setattr(coalgebra, "expm", counting)
+        g = jukes_cantor(1.0, 4)
+        f = Distribution.uniform(g.states)
+        t = parse_newick("((1:0.5,2:0.5):0.25,(3:0.5,4:0.25):0.5,5:1):0.25;")
+        evaluate(t, g, f)
+        assert sorted(calls) == [0.25, 0.5, 1.0]
+        calls.clear()
+        evaluate_operator(t, g)
+        assert sorted(calls) == [0.25, 0.5, 1.0]
+        calls.clear()
+        t = parse_newick("((1:inf,2:0.5):0.5,3:inf):0.5;", allow_infinite=True)
+        evaluate_extended(t, g, f)
+        assert calls == [0.5]
+
+    def test_size_cap_before_any_allocation(self, monkeypatch):
+        def refuse(g, x):
+            raise AssertionError("expm called past the cap")
+
+        monkeypatch.setattr(coalgebra, "expm", refuse)
+        g = jukes_cantor(1.0, 4)
+        f = Distribution.uniform(g.states)
+        t = parse_newick("(((1:1,2:1):1,(3:1,4:1):1):1,((5:1,6:1):1,"
+                         "(7:1,8:1):1):1,(9:1,10:1):1):1;")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCap):
+                evaluate(t, g, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the tensor alone would take 8 * 4**10 bytes
+        assert peak < 100_000
 
 
 class TestMarginal:

@@ -28,8 +28,9 @@ from phylo.markov import (
     site_product,
     validate_generator,
 )
+from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, unit_phylo
-from phylo.trees import corolla
+from phylo.trees import PhyloError, corolla
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]], ("a", "b"))
 
@@ -265,6 +266,30 @@ class TestSimulate:
         f = Distribution.uniform(StateSpace(("x", "y")))
         with pytest.raises(StateSpaceMismatch):
             simulate_branching(unit_phylo(0.0), FLIP, f, seed=0, samples=1)
+
+    def test_counts_pinned_for_fixed_seed(self):
+        # the counts a seed gives are part of its contract, so a change to
+        # the draws or to their order shows here
+        g = validate_generator([[-1.5, 0.5, 2.0], [1.0, -1.0, 1.0],
+                                [0.5, 0.5, -3.0]], ("x", "y", "z"))
+        f = Distribution.make(g.states, [0.2, 0.5, 0.3])
+        t = parse_newick("((1:0.5,2:0.25):0.125,3:0.75):0.25;")
+        counts = simulate_branching(t, g, f, seed=2026, samples=300)
+        assert counts.tolist() == [
+            [[18, 17, 6], [11, 15, 6], [4, 9, 2]],
+            [[17, 17, 6], [35, 51, 21], [5, 16, 1]],
+            [[10, 3, 2], [6, 9, 3], [5, 5, 0]]]
+
+
+class TestStateSpace:
+    def test_unknown_label_is_a_markov_error(self):
+        with pytest.raises(MarkovError) as info:
+            Distribution.point(jukes_cantor(1.0).states, "Z")
+        assert isinstance(info.value, PhyloError)
+        assert "'Z'" in str(info.value) and "'A'" in str(info.value)
+
+    def test_index(self):
+        assert jukes_cantor(1.0).states.index("C") == 2
 
 
 class TestSiteProductLabels:
