@@ -130,12 +130,23 @@ def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
         if u > 0:
             continue
         kids = rep.child_map[u]
-        # d[y_1, ..., y_k, v]: the product of the child edges' entries
-        d = mats[lens[kids[0]]]
-        for c in kids[1:]:
-            d = d[..., None, :] * mats[lens[c]]
         p = axes.index(u)
-        cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
+        if cur.size < s * s:
+            # The product tensor below would be larger than the result (at
+            # the root vertex of a vector push).  Move the vertex axis last,
+            # put in the child axes one at a time, then sum it out against
+            # the last child's matrix.
+            cur = np.moveaxis(cur, p, -1)
+            for c in kids[:-1]:
+                cur = cur[..., None, :] * mats[lens[c]]
+            cur = (cur.reshape(-1, s) @ mats[lens[kids[-1]]].T).reshape(cur.shape)
+        else:
+            # d[y_1, ..., y_k, v]: the product of the child edges' entries,
+            # with s**(k+1) entries, no more than the result's
+            d = mats[lens[kids[0]]]
+            for c in kids[1:]:
+                d = d[..., None, :] * mats[lens[c]]
+            cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
         axes = axes[:p] + axes[p + 1:] + list(kids)
     return np.transpose(cur, np.argsort(axes))
 

@@ -206,22 +206,62 @@ class Distribution:
         return Distribution.make(states, p)
 
 
+# the Taylor remainder bound below which the series is cut
+SERIES_TOL = 1e-18
+
+
+def _series_degree(norm: float) -> int:
+    """The least degree m >= 1 with norm^(m+1) / (m+1)! below SERIES_TOL."""
+    m, bound = 1, norm * norm / 2
+    while bound >= SERIES_TOL:
+        m += 1
+        bound *= norm / (m + 1)
+    return m
+
+
+def _ps_table(m: int) -> np.ndarray:
+    """The coefficients 1/k! of the degree-m series in Paterson-Stockmeyer
+    blocks: row j holds those of B^(jq), ..., B^(jq+q-1), q = isqrt(m) + 1,
+    zero past degree m."""
+    q = math.isqrt(m) + 1
+    c = np.zeros((m // q + 1) * q)
+    c[:m + 1] = [1.0 / math.factorial(k) for k in range(m + 1)]
+    return c.reshape(-1, q)
+
+
+# one block table per degree; the scaled norm never exceeds 1
+_PS_TABLES = tuple(_ps_table(m) for m in range(_series_degree(1.0) + 1))
+
+
 def _expm_core(A: np.ndarray) -> np.ndarray:
-    """Scaling and squaring with a machine-precision truncated series."""
+    """Scaling and squaring: the norm of A fixes the squarings and the
+    series degree, and the series is evaluated by Paterson-Stockmeyer
+    (SIAM J. Comput. 2(1):60-66, 1973) in about 2 sqrt(degree) products."""
     norm = float(np.abs(A).sum(axis=0).max())
     if not norm < 2.0 ** 1000:
         # also an infinite norm, where t * H overflowed
         raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
-    squarings = 0 if norm <= 1.0 else int(math.ceil(math.log2(norm)))
-    B = A / (2.0 ** squarings)
+    # ceil(log2 norm), exactly, so that the scaled norm is at most 1
+    frac, exp = math.frexp(norm)
+    squarings = max(0, exp - (frac == 0.5))
+    scale = 2.0 ** squarings
+    B = A / scale
+    coef = _PS_TABLES[_series_degree(norm / scale)]
+    q = coef.shape[1]
     s = A.shape[0]
-    term = np.eye(s)
-    total = np.eye(s)
-    for k in range(1, 120):
-        term = term @ B / k
-        total = total + term
-        if float(np.abs(term).max()) < 1e-18 * max(1.0, float(np.abs(total).max())):
-            break
+    # powers[i] = B^i for i < q
+    powers = np.empty((q, s, s))
+    powers[0] = np.eye(s)
+    powers[1] = B
+    for i in range(2, q):
+        np.matmul(powers[i - 1], B, out=powers[i])
+    blocks = (coef @ powers.reshape(q, s * s)).reshape(-1, s, s)
+    # Horner in B^q over the blocks, highest first
+    Bq = powers[q - 1] @ B
+    total = blocks[-1]
+    for block in blocks[-2::-1]:
+        total = total @ Bq
+        total += block
     for _ in range(squarings):
         total = total @ total
     return total

@@ -213,8 +213,18 @@ def counit_eval(operad: Operad, t: LabelledTree) -> Any:
     check_ctree(collection_of(operad), t)
     if t.shape.root > 0:
         return operad.identity
-    t = t.contract_edges(t.shape.internal_edge_sources(), operad.compose)
-    f = t.label(t.shape.root)
+    # Fold every vertex's label into its parent's, composing the children
+    # from the right as LabelledTree.contract_edges does; only the root
+    # label is needed, so the contracted tree is never built.
+    labels = dict(t.vlabels)
+    child_map = t.shape.child_map
+    for v in reversed(t.shape.preorder):
+        kids = child_map.get(v, ())
+        for pos in range(len(kids), 0, -1):
+            if kids[pos - 1] < 0:
+                labels[v] = operad.compose(labels[v], pos, labels.pop(kids[pos - 1]))
+    f = labels[t.shape.root]
+    # contraction keeps the planar leaf order
     positions = t.shape.leaf_order()
     if positions == tuple(range(1, t.n + 1)):
         return f

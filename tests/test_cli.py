@@ -181,6 +181,33 @@ class TestModelCommands:
                          "--root", uniform_root, tree)
         assert code == 1
 
+    def test_wide_vertex_under_address_space_limit(self, tmp_path):
+        # 600 states at a 2-leaf vertex: the output has 600**2 entries, a
+        # product tensor of the child edges would need 1.61 GiB
+        resource = pytest.importorskip("resource")
+        s = 600
+        labels = [f"S{i}" for i in range(s)]
+        rows = [[1.0 - s * (i == j) for j in range(s)] for i in range(s)]
+        write(tmp_path, "H.json", json.dumps({"states": labels, "rows": rows}))
+        write(tmp_path, "f.json", json.dumps({"states": labels, "p": [1 / s] * s}))
+        write(tmp_path, "t.nwk", "(1:0.1,2:0.1):0.1;")
+
+        def limit():
+            cap = 1_500_000 * 1024
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        # one BLAS thread keeps the address space independent of the cores
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "phylo.cli", "evaluate", "--model", "H.json",
+             "--root", "f.json", "t.nwk"], cwd=tmp_path, env=env,
+            preexec_fn=limit, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["n"] == 2 and len(doc["data"]) == s * s
+        assert abs(math.fsum(doc["data"]) - 1.0) < 1e-10
+
     def test_simulate_deterministic(self, capsys, tmp_path, flip_model,
                                     uniform_root):
         tree = write(tmp_path, "t.nwk", "(1:1,2:0.5):0.2;")
@@ -431,9 +458,10 @@ WATCHED = ("numpy", "phylo.markov", "phylo.coalgebra", "phylo.treespace")
 METRIC = "((1:0,2:0):1,(3:0,4:0):1):0;"
 
 
-def modules_after(code: str, *argv: str, cwd=None) -> set[str]:
-    """The modules in WATCHED that ``code`` loads in a fresh interpreter."""
-    probe = code + f"\nprint(' '.join(m for m in {WATCHED!r} if m in sys.modules))"
+def modules_after(code: str, *argv: str, cwd=None,
+                  watched: tuple[str, ...] = WATCHED) -> set[str]:
+    """The modules in ``watched`` that ``code`` loads in a fresh interpreter."""
+    probe = code + f"\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -466,3 +494,20 @@ def test_tree_only_commands_skip_numpy(tmp_path, argv, tree_space):
                            "assert main(sys.argv[1:]) == 0",
                            *argv.split(), cwd=tmp_path)
     assert loaded == ({"phylo.treespace"} if tree_space else set())
+
+
+@pytest.mark.parametrize("argv", [
+    "evaluate --model H.json --root f.json m.nwk",
+    "limit --model H.json",
+    "jc --mu 1 --k 4",
+], ids=lambda v: v.split()[0])
+def test_model_commands_skip_scipy(tmp_path, argv):
+    # scipy is a test-only oracle; the runtime must not reach for it
+    write(tmp_path, "m.nwk", METRIC)
+    write(tmp_path, "H.json", json.dumps(
+        {"states": ["a", "b"], "rows": [[-1.0, 1.0], [1.0, -1.0]]}))
+    write(tmp_path, "f.json", json.dumps({"states": ["a", "b"], "p": [0.5, 0.5]}))
+    loaded = modules_after("import sys\nfrom phylo.cli import main\n"
+                           "assert main(sys.argv[1:]) == 0",
+                           *argv.split(), cwd=tmp_path, watched=("numpy", "scipy"))
+    assert loaded == {"numpy"}

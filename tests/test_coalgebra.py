@@ -274,6 +274,23 @@ class TestPushOracle:
         # the tensor alone would take 8 * 4**10 bytes
         assert peak < 100_000
 
+    def test_wide_vertex_allocates_no_more_than_its_output(self):
+        # a 2-leaf vertex over 200 states: the output has 200**2 entries,
+        # the s**3 product tensor of the two child edges would take 64 MB
+        g = jukes_cantor(1.0, 200)
+        f = random_root(random.Random(37), g.states)
+        t = parse_newick("(1:0.25,2:0.5):0.125;")
+        tracemalloc.start()
+        try:
+            got = evaluate(t, g, f).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        p = expm(g, 0.125).M @ f.p
+        want = expm(g, 0.25).M @ np.diag(p) @ expm(g, 0.5).M.T
+        assert np.abs(got - want).max() < 1e-15
+
 
 class TestMarginal:
     def test_single_leaf_is_the_tensor(self):

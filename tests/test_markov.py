@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import expm_taylor
 from phylo.markov import (
@@ -117,6 +118,20 @@ class TestExpm:
         with pytest.raises(NonFiniteTime):
             expm(FLIP, math.inf)
 
+    @pytest.mark.parametrize("s", [2, 3, 4, 16])
+    def test_time_zero_is_identity_bitwise(self, s):
+        g = random_generator(random.Random(s), s)
+        assert np.array_equal(expm(g, 0.0).M, np.eye(s))
+
+    @pytest.mark.parametrize("t", [50.0, 1e3])
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_jukes_cantor_closed_form_after_many_squarings(self, t, k):
+        m = expm(jukes_cantor(1.0, k), t).M
+        e = math.exp(-k * t)
+        want = np.full((k, k), (1 - e) / k)
+        np.fill_diagonal(want, (1 + (k - 1) * e) / k)
+        assert np.abs(m - want).max() < 1e-12
+
     def test_preserves_distributions(self):
         rng = random.Random(9)
         for _ in range(30):
@@ -126,6 +141,40 @@ class TestExpm:
             out = expm(g, rng.uniform(0, 5)).apply(f)
             assert abs(float(out.p.sum()) - 1.0) < 1e-10
             assert float(out.p.min()) >= 0.0
+
+
+def power_of_two_generator(rng, s, k):
+    """A generator whose 1-norm is exactly 2**k: integer rates, one column
+    topped up to a power of two, then scaled by a power of two."""
+    h = np.array([[float(rng.randint(0, 7)) for _ in range(s)] for _ in range(s)])
+    np.fill_diagonal(h, 0.0)
+    sums = h.sum(axis=0)
+    top = 2.0 ** math.ceil(math.log2(max(float(sums.max()), 1.0)))
+    h[1, 0] += top - sums[0]
+    h -= np.diag(h.sum(axis=0))
+    return validate_generator(h * 2.0 ** (k - 1) / top)
+
+
+class TestExpmScipyOracle:
+    """``expm`` against scipy.linalg.expm, which the package never imports."""
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 16])
+    def test_times_across_nine_decades(self, s):
+        rng = random.Random(41 + s)
+        for _ in range(30):
+            g = random_generator(rng, s)
+            t = 10 ** rng.uniform(-6, 3)
+            want = scipy.linalg.expm(t * np.asarray(g.H))
+            assert np.abs(expm(g, t).M - want).max() < 1e-12
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 16])
+    def test_norms_at_powers_of_two(self, s):
+        rng = random.Random(53 + s)
+        for k in range(-20, 11):
+            g = power_of_two_generator(rng, s, k)
+            assert float(np.abs(g.H).sum(axis=0).max()) == 2.0 ** k
+            want = scipy.linalg.expm(np.asarray(g.H))
+            assert np.abs(expm(g, 1.0).M - want).max() < 1e-12
 
 
 class TestSemigroup:

@@ -41,6 +41,7 @@ from phylo.trees import (
     PlanarTree,
     _freeze,
     corolla,
+    invert_perm,
     make_tree,
     unit_tree,
 )
@@ -163,6 +164,21 @@ class TestFreeOperad:
                 for u in order:
                     cur = cur.contract_edge(u, PHYL.compose)
                 assert counit_eval(PHYL, cur) == want
+
+    def test_counit_matches_contracting_the_tree(self):
+        # the reference: build the fully contracted tree, read its root
+        # label and undo its leaf order
+        rng = random.Random(43)
+        for _ in range(40):
+            shape = random_shape(rng, rng.randint(2, 8))
+            labels = {v: formal_op(f"f{-v}", shape.arity(v)) for v in shape.vertices}
+            lt = LabelledTree.make(shape, labels)
+            flat = lt.contract_edges(shape.internal_edge_sources(), FORMAL.compose)
+            root = flat.label(flat.shape.root)
+            order = flat.shape.leaf_order()
+            want = (root if order == tuple(range(1, shape.n + 1))
+                    else FORMAL.act(root, invert_perm(order)))
+            assert counit_eval(FORMAL, lt) == want
 
 
 class TestCounitEquivalent:
