@@ -13,22 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Sequence
 
 from . import newick, operads
 from .operads import MalformedLabelling, PhyloTree, WeightedTree
 from .trees import PhyloError, PlanarTree, TreeError, _freeze
-
-
-def reporting_tol() -> float:
-    """Reporting tolerance for stderr diagnostics; PHYLO_TOL overrides the
-    default 1e-10.  Exact algebraic equalities are never affected."""
-    try:
-        return float(os.environ.get("PHYLO_TOL", "1e-10"))
-    except ValueError:
-        return 1e-10
 
 
 def _read(path: str) -> str:
@@ -205,9 +195,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         lt = coalgebra.evaluate_extended(t, g, f)
     else:
         lt = coalgebra.evaluate(t, g, f)
-    mass_gap = abs(float(lt.data.sum()) - 1.0)
-    if mass_gap > reporting_tol():
-        print(f"warning: tensor mass off by {mass_gap:g}", file=sys.stderr)
     _emit_json(coalgebra.tensor_to_json(lt))
     return 0
 

@@ -116,10 +116,8 @@ def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
     # The representative sorts children by lengths and shape alone, so
     # relabelling leaves permutes tensor axes without changing a single
     # bit of the entries.
-    lengths = t.length_map()
-    rep, _, rename = t.shape.canonical("unordered", labels=lengths,
-                                       leaf_labels=False)
-    lens = {rename.get(u, u): x for u, x in lengths.items()}
+    rep, _, lens = t.shape.canonical("unordered", labels=t.length_map(),
+                                     leaf_labels=False)
     # one transition matrix per distinct length of this tree
     mats = {x: np.asarray(g.limit.M if math.isinf(x) else expm(g, x).M)
             for x in set(lens.values())}

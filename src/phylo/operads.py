@@ -213,17 +213,10 @@ def counit_eval(operad: Operad, t: LabelledTree) -> Any:
     check_ctree(collection_of(operad), t)
     if t.shape.root > 0:
         return operad.identity
-    # Fold every vertex's label into its parent's, composing the children
-    # from the right as LabelledTree.contract_edges does; only the root
+    # Every vertex but the root is the source of an internal edge, and the
+    # cached vertex tuple spares building the parent map.  Only the root
     # label is needed, so the contracted tree is never built.
-    labels = dict(t.vlabels)
-    child_map = t.shape.child_map
-    for v in reversed(t.shape.preorder):
-        kids = child_map.get(v, ())
-        for pos in range(len(kids), 0, -1):
-            if kids[pos - 1] < 0:
-                labels[v] = operad.compose(labels[v], pos, labels.pop(kids[pos - 1]))
-    f = labels[t.shape.root]
+    f = t.folded_labels(t.shape.vertices, operad.compose)[t.shape.root]
     # contraction keeps the planar leaf order
     positions = t.shape.leaf_order()
     if positions == tuple(range(1, t.n + 1)):
@@ -271,10 +264,8 @@ class WeightedTree:
         return self.length_map[u]
 
     def canonical(self) -> tuple["WeightedTree", str]:
-        shape, key, rename = self.shape.canonical(
-            "unordered", labels=self.length_map)
-        new = {rename.get(u, u): x for u, x in self.lengths}
-        return WeightedTree.make(shape, new), key
+        shape, key, lens = self.shape.canonical("unordered", labels=self.length_map)
+        return WeightedTree.make(shape, lens), key
 
 
 def _check_weighted(w: WeightedTree) -> None:
@@ -384,10 +375,9 @@ class PhyloTree:
                 raise PhyloInvariantError(
                     f"internal edge out of {u} has length zero")
         lens = {u: float(x) + 0.0 for u, x in lengths.items()}
-        canon, _, rename = shape.canonical("unordered", labels=lens)
-        inv = {new: old for old, new in rename.items()}
+        canon, _, lens = shape.canonical("unordered", labels=lens)
         packed = [lens[j] for j in range(1, shape.n + 1)]
-        packed.extend(lens[inv[-(j + 1)]] for j in range(canon.num_vertices))
+        packed.extend(lens[-j] for j in range(1, canon.num_vertices + 1))
         return PhyloTree(canon, tuple(packed))
 
     @property
@@ -423,9 +413,6 @@ class PhyloTree:
     def length_map(self) -> dict[int, float]:
         return {u: self.length(u) for u in self.shape.nodes}
 
-    def to_weighted(self) -> WeightedTree:
-        return WeightedTree.make(self.shape, self.length_map())
-
     def with_lengths(self, new: Mapping[int, float],
                      extended: bool | None = None) -> "PhyloTree":
         lens = self.length_map()
@@ -449,29 +436,17 @@ def to_phylo(w: WeightedTree, extended: bool = False) -> PhyloTree:
 
 
 def from_phylo(p: PhyloTree) -> WeightedTree:
-    return p.to_weighted()
+    return WeightedTree.make(p.shape, p.length_map())
 
 
 def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
     """Graft ``inner`` onto leaf i of ``outer``; the identified edge gets the
     sum of the two lengths, and collapses if that sum is an internal zero."""
-    # the length bookkeeping below mirrors the node relabelling of
-    # PlanarTree.graft: shifted inner vertices, inner leaves + (i - 1),
-    # outer leaves above i shifted by inner.n - 1
+    out, into = outer.shape.graft_renaming(i, inner.shape)
     shape = outer.shape.graft(i, inner.shape)
-    shift = min(outer.shape.vertices, default=0)
-    lens: dict[int, float] = {}
-    for v in outer.shape.vertices:
-        lens[v] = outer.length(v)
-    for j in range(1, outer.n + 1):
-        if j == i:
-            continue
-        lens[j if j < i else j + inner.n - 1] = outer.leaf_length(j)
-    for v in inner.shape.vertices:
-        lens[v + shift] = inner.length(v)
-    for j in range(1, inner.n + 1):
-        lens[j + i - 1] = inner.leaf_length(j)
-    x = inner.shape.root + (i - 1 if inner.shape.root > 0 else shift)
+    lens = {out[u]: y for u, y in outer.length_map().items()}
+    lens.update((into[u], y) for u, y in inner.length_map().items())
+    x = out[i]
     lens[x] = inner.root_length + outer.leaf_length(i)
     if x < 0 and shape.parent[x] < 0 and lens[x] == 0.0:
         shape = shape.contract_edge(x)

@@ -16,7 +16,10 @@ isomorphism of rooted trees.
 Tree walks go through one iterative depth-first order,
 ``PlanarTree.preorder``, so no tree is too deep for the interpreter's
 stack.  ``PlanarTree.canonical`` is the one canonical encoder; edge
-lengths and vertex labels enter it as a node-label mapping.
+lengths and vertex labels enter it as a node-label mapping and come back
+keyed by the representative's nodes.  ``PlanarTree.graft_renaming`` is
+where each node goes in a graft, ``LabelledTree.folded_labels`` the one
+label fold of a contraction.
 """
 
 from __future__ import annotations
@@ -171,34 +174,35 @@ class PlanarTree:
 
     # -- operations ------------------------------------------------------
 
-    def graft(self, i: int, inner: "PlanarTree") -> "PlanarTree":
-        """Identify ``inner``'s root edge with this tree's i-th leaf edge.
+    def graft_renaming(self, i: int, inner: "PlanarTree",
+                       ) -> tuple[dict[int, int], dict[int, int]]:
+        """The node of ``self.graft(i, inner)`` that each node becomes, as
+        one map for this tree's nodes and one for ``inner``'s.
 
         Leaves of this tree strictly below i keep their labels, leaves of
         ``inner`` shift up by i - 1, remaining leaves of this tree shift up
-        by inner.n - 1.  The identified edge takes inner's position in the
-        child order at the attachment vertex.
+        by inner.n - 1.  This tree's vertices keep their ids and inner's
+        move below them.  Leaf i becomes inner's root, whose edge it is.
         """
         m, n = self.n, inner.n
         if not 1 <= i <= m:
             raise LeafIndexOutOfRange(f"leaf index {i} not in 1..{m}")
         shift = min(self.vertices, default=0)
+        into = {u: u + i - 1 for u in range(1, n + 1)}
+        into.update((v, v + shift) for v in inner.vertices)
+        out = {u: u if u < i else u + n - 1 for u in range(1, m + 1)}
+        out.update((v, v) for v in self.vertices)
+        out[i] = into[inner.root]
+        return out, into
 
-        def relabel_inner(u: int) -> int:
-            return u + i - 1 if u > 0 else u + shift
-
-        def relabel_outer(u: int) -> int:
-            return u + n - 1 if u > i else u
-
-        kids: dict[int, tuple[int, ...]] = {}
-        for v, cs in inner.children:
-            kids[v + shift] = tuple(relabel_inner(c) for c in cs)
-        graft_node = relabel_inner(inner.root)
-        for v, cs in self.children:
-            kids[v] = tuple(
-                graft_node if c == i else relabel_outer(c) for c in cs)
-        root = graft_node if self.root == i else relabel_outer(self.root)
-        return PlanarTree(m + n - 1, root, _freeze(kids))
+    def graft(self, i: int, inner: "PlanarTree") -> "PlanarTree":
+        """Identify ``inner``'s root edge with this tree's i-th leaf edge,
+        renaming nodes by ``graft_renaming``.  The identified edge takes
+        inner's position in the child order at the attachment vertex."""
+        out, into = self.graft_renaming(i, inner)
+        kids = {into[v]: tuple([into[c] for c in cs]) for v, cs in inner.children}
+        kids.update((v, tuple([out[c] for c in cs])) for v, cs in self.children)
+        return PlanarTree(self.n + inner.n - 1, out[self.root], _freeze(kids))
 
     def permute_leaves(self, sigma: Sequence[int]) -> "PlanarTree":
         """Right action: the leaf labelled k is relabelled sigma^-1(k)."""
@@ -258,8 +262,9 @@ class PlanarTree:
     def canonical(self, mode: str = "unordered",
                   labels: Mapping[int, Any] | None = None,
                   leaf_labels: bool = True,
-                  ) -> tuple["PlanarTree", str, dict[int, int]]:
-        """Canonical representative, its key string, and the vertex renaming.
+                  ) -> tuple["PlanarTree", str, dict[int, Any]]:
+        """Canonical representative, its key string, and ``labels`` keyed
+        by the representative's nodes.
 
         Two trees are isomorphic as planar trees (mode="planar") or as plain
         rooted trees (mode="unordered") exactly when their canonical keys
@@ -292,10 +297,8 @@ class PlanarTree:
         new_kids = {rename[v]: tuple([rename.get(c, c) for c in cs])
                     for v, cs in order.items()}
         root = rename.get(self.root, self.root)
-        return PlanarTree(self.n, root, _freeze(new_kids)), keys[self.root], rename
-
-
-RootedTree = PlanarTree
+        new_labels = {rename.get(u, u): lab for u, lab in labels.items()}
+        return PlanarTree(self.n, root, _freeze(new_kids)), keys[self.root], new_labels
 
 
 def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
@@ -537,12 +540,10 @@ class LabelledTree:
         return self.label_map[v]
 
     def graft(self, i: int, inner: "LabelledTree") -> "LabelledTree":
-        shifted = self.shape.graft(i, inner.shape)
-        shift = min(self.shape.vertices, default=0)
-        labels = dict(self.vlabels)
-        for v, lab in inner.vlabels:
-            labels[v + shift] = lab
-        return LabelledTree.make(shifted, labels)
+        out, into = self.shape.graft_renaming(i, inner.shape)
+        labels = {out[v]: lab for v, lab in self.vlabels}
+        labels.update((into[v], lab) for v, lab in inner.vlabels)
+        return LabelledTree.make(self.shape.graft(i, inner.shape), labels)
 
     def permute_leaves(self, sigma: Sequence[int]) -> "LabelledTree":
         return LabelledTree(self.shape.permute_leaves(sigma), self.vlabels)
@@ -556,10 +557,9 @@ class LabelledTree:
         return LabelledTree.make(self.shape, labels)
 
     def insert_vertex(self, u: int, label: Any) -> "LabelledTree":
-        w = min(self.shape.vertices, default=0) - 1
-        shape = self.shape.insert_vertex(u, w)
+        shape = self.shape.insert_vertex(u)
         labels = dict(self.vlabels)
-        labels[w] = label
+        labels[shape.parent[u]] = label
         return LabelledTree.make(shape, labels)
 
     def contract_edge(self, u: int,
@@ -576,15 +576,17 @@ class LabelledTree:
         labels[p] = merged
         return LabelledTree.make(shape, labels)
 
-    def contract_edges(self, sources: Iterable[int],
-                       compose: Callable[[Any, int, Any], Any]) -> "LabelledTree":
-        """Contract several internal edges in one pass from the leaves up.
-        A vertex composes its contracted children from the right, so slot
-        indices stay valid: f over contracted g, h becomes (f o_2 h) o_1 g,
-        and nested merges read as f o_i (g o_j h).  Any order gives the same
-        result when ``compose`` is operadic composition."""
-        gone = set(sources)
-        shape = self.shape.contract_edges(gone)
+    def folded_labels(self, gone: Iterable[int],
+                      compose: Callable[[Any, int, Any], Any]) -> dict[int, Any]:
+        """The vertex labels after contracting the internal edges out of
+        ``gone``, folded in one pass from the leaves up; a kept vertex keeps
+        its id, and a root vertex in ``gone`` has no parent to fold into, so
+        it stays.  A vertex composes its contracted children from the right,
+        so slot indices stay valid: f over contracted g, h becomes
+        (f o_2 h) o_1 g, and nested merges read as f o_i (g o_j h).  Any
+        order gives the same result when ``compose`` is operadic
+        composition."""
+        gone = set(gone)
         labels = dict(self.vlabels)
         child_map = self.shape.child_map
         for v in reversed(self.shape.preorder):
@@ -592,10 +594,17 @@ class LabelledTree:
             for pos in range(len(kids), 0, -1):
                 if kids[pos - 1] in gone:
                     labels[v] = compose(labels[v], pos, labels.pop(kids[pos - 1]))
-        return LabelledTree.make(shape, labels)
+        return labels
+
+    def contract_edges(self, sources: Iterable[int],
+                       compose: Callable[[Any, int, Any], Any]) -> "LabelledTree":
+        """Contract several internal edges in one pass, labelling each merged
+        vertex by ``folded_labels``."""
+        gone = set(sources)
+        shape = self.shape.contract_edges(gone)
+        return LabelledTree.make(shape, self.folded_labels(gone, compose))
 
     def canonical(self, mode: str = "unordered") -> tuple["LabelledTree", str]:
         """Canonical representative and key; labels are compared by repr."""
-        shape, key, rename = self.shape.canonical(mode, labels=self.label_map)
-        new_labels = {rename[v]: lab for v, lab in self.vlabels}
-        return LabelledTree.make(shape, new_labels), key
+        shape, key, labels = self.shape.canonical(mode, labels=self.label_map)
+        return LabelledTree.make(shape, labels), key

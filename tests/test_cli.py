@@ -255,14 +255,6 @@ class TestErrorChannels:
         assert issubclass(PhyloError, ValueError)
         assert {c.__name__ for c in classes if c.exit_code != 1} == {"NoConvergence"}
 
-    def test_reporting_tolerance_env(self, monkeypatch):
-        from phylo.cli import reporting_tol
-        assert reporting_tol() == 1e-10
-        monkeypatch.setenv("PHYLO_TOL", "1e-6")
-        assert reporting_tol() == 1e-6
-        monkeypatch.setenv("PHYLO_TOL", "junk")
-        assert reporting_tol() == 1e-10
-
 
 class TestOneLeafAndBadInputs:
     def test_decompose_recompose_single_leaf(self, capsys, tmp_path):
@@ -511,3 +503,17 @@ def test_model_commands_skip_scipy(tmp_path, argv):
                            "assert main(sys.argv[1:]) == 0",
                            *argv.split(), cwd=tmp_path, watched=("numpy", "scipy"))
     assert loaded == {"numpy"}
+
+
+def test_traced_benchmark_patches_existing_names():
+    # perfbench/spans.py wraps library functions and methods by name, so a
+    # deleted or renamed one must fail here and not only in a traced run
+    code = ("import importlib, pkgutil, phylo, spans\n"
+            "for info in pkgutil.iter_modules(phylo.__path__):\n"
+            "    importlib.import_module('phylo.' + info.name)\n"
+            "spans.install(spans.Tracer())\n")
+    path = os.pathsep.join([str(SRC), str(SRC.parent / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FORMAL, brute_force_isomorphic, caterpillar, formal_op
-from phylo.sampling import random_perm, random_shape
+from phylo.newick import serialize_newick
+from phylo.operads import PhyloTree, normal_form, phylo_act, phylo_compose, to_phylo
+from phylo.sampling import random_perm, random_phylo, random_shape, random_weighted
 from phylo.trees import (
     EmptyEdgeSet,
     TreeError,
@@ -15,11 +18,13 @@ from phylo.trees import (
     NoRootEdge,
     NotInternalEdge,
     PermutationSizeMismatch,
+    PlanarTree,
     SourceNotBijective,
     Subtree,
     InvalidSubtree,
     UnknownVertex,
     UnreachableRoot,
+    _freeze,
     canonical_form,
     compose_perms,
     contract_subtree,
@@ -160,6 +165,24 @@ class TestGraft:
             lhs = a.graft(i, b).graft(i - 1 + j, c)
             rhs = a.graft(i, b.graft(j, c))
             assert isomorphic(lhs, rhs, "planar")
+
+    def test_renaming_agrees_with_graft(self):
+        rng = random.Random(19)
+        shapes = [random_shape(rng, rng.randint(1, 6)) for _ in range(30)]
+        shapes += [unit_tree(), caterpillar(4)]
+        for outer in shapes:
+            # the unit tree is the one inner tree rooted at a leaf
+            for inner in rng.sample(shapes, 4) + [unit_tree(), corolla(0)]:
+                for i in {1, outer.n, rng.randint(1, outer.n)}:
+                    out, into = outer.graft_renaming(i, inner)
+                    grafted = outer.graft(i, inner)
+                    assert out[i] == into[inner.root]
+                    assert grafted.root == out[outer.root]
+                    for tree, ren in ((outer, out), (inner, into)):
+                        for v, cs in tree.children:
+                            assert grafted.child_map[ren[v]] == tuple(ren[c] for c in cs)
+                    assert set(out.values()) | set(into.values()) == set(grafted.nodes)
+                    assert len(out) + len(into) - 1 == len(grafted.nodes)
 
 
 # -- leaf relabelling --------------------------------------------------------
@@ -360,6 +383,38 @@ class TestCanonicalForm:
         assert t.leaf_order() == tuple(range(1, 5002))
         rep, _, _ = t.canonical()
         assert rep.leaf_order()[:3] == (5000, 5001, 4999)
+
+    def test_labels_follow_the_representative(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            t = random_phylo(rng, max_leaves=7)
+            # the same class drawn with fresh vertex ids and shuffled children
+            ids = dict(zip(t.shape.vertices,
+                           rng.sample(range(-3 * t.n, 0), t.shape.num_vertices)))
+            kids = {ids[v]: tuple(rng.sample([ids.get(c, c) for c in cs], len(cs)))
+                    for v, cs in t.shape.children}
+            drawn = PlanarTree(t.n, ids.get(t.shape.root, t.shape.root), _freeze(kids))
+            lens = {ids.get(u, u): x for u, x in t.length_map().items()}
+            rep, key, labels = drawn.canonical(labels=lens)
+            assert PhyloTree.make(rep, labels) == t
+            assert rep.canonical(labels=labels) == (rep, key, labels)
+
+
+def test_outputs_are_pinned():
+    # canonical bytes and packed lengths of compose, act and normal_form on
+    # a seeded corpus; a refactor of the node bookkeeping must keep them
+    rng = random.Random(20260)
+    h = hashlib.sha256()
+    for _ in range(350):
+        a = random_phylo(rng, max_leaves=8, zero_external_prob=0.5)
+        b = random_phylo(rng, max_leaves=8, zero_external_prob=0.5)
+        nf = normal_form(random_weighted(rng, max_leaves=8))
+        for t in (phylo_compose(a, rng.randint(1, a.n), b),
+                  phylo_act(a, random_perm(rng, a.n)), to_phylo(nf)):
+            h.update(serialize_newick(t).encode() + repr(t.lengths).encode())
+        h.update(repr(nf.lengths).encode())
+    assert h.hexdigest() == (
+        "e046172fcaebf366a9d62904e29ad953629f9cb5ad6df2cd7feea7b4807dc5fa")
 
 
 class TestValidateChildOrder:
