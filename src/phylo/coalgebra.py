@@ -224,7 +224,7 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
         new[j] = from_unit((1.0 - s) * to_unit(t.leaf_length(j)) + s)
     root = t.shape.root
     new[root] = from_unit((1.0 - s) * to_unit(t.root_length) + s)
-    return t.with_lengths(new, extended=True)
+    return t.with_lengths(new)
 
 
 # ---------------------------------------------------------------------------

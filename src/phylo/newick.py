@@ -38,96 +38,70 @@ class LeafLabelError(NewickError):
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|inf")
 _INT = re.compile(r"\d+")
-
-
-class _Parser:
-    def __init__(self, text: str, allow_infinite: bool):
-        self.text = text
-        self.pos = 0
-        self.allow_infinite = allow_infinite
-        self.kids: dict[int, tuple[int, ...]] = {}
-        self.lengths: dict[int, float] = {}
-        self.leaves: list[int] = []
-        self.next_vertex = -1
-
-    def error(self, message: str) -> NewickSyntaxError:
-        return NewickSyntaxError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_length(self) -> float:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a branch length")
-        tok = m.group(0)
-        self.pos = m.end()
-        if tok == "inf":
-            if not self.allow_infinite:
-                raise self.error("'inf' lengths are not accepted here")
-            return math.inf
-        return float(tok)
-
-    def parse_branch(self) -> int:
-        node = self.parse_subtree()
-        self.expect(":")
-        self.lengths[node] = self.parse_length()
-        return node
-
-    def parse_subtree(self) -> int:
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.parse_branch()]
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.parse_branch())
-            self.expect(")")
-            if len(children) < 2:
-                raise self.error("interior vertices need at least two children")
-            v = self.next_vertex
-            self.next_vertex -= 1
-            self.kids[v] = tuple(children)
-            return v
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a leaf number or '('")
-        self.pos = m.end()
-        leaf = int(m.group(0))
-        self.leaves.append(leaf)
-        return leaf
-
-    def parse(self) -> PhyloTree:
-        root = self.parse_branch()
-        self.expect(";")
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing characters after ';'")
-        n = len(self.leaves)
-        if sorted(self.leaves) != list(range(1, n + 1)):
-            raise LeafLabelError(
-                f"leaf labels must be exactly 1..{n}, got {sorted(self.leaves)}")
-        shape = PlanarTree(n, root, _freeze(self.kids))
-        return PhyloTree.make(shape, self.lengths,
-                              extended=self.allow_infinite)
+_DELIMITERS = re.compile(r"([(),:;])")
+# what each parser state was waiting for, as the error message names it
+_EXPECTED = {
+    "subtree": "expected a leaf number or '('",
+    "colon": "expected ':'",
+    "length": "expected a branch length",
+    "next": "expected ')'",
+    "last": "expected ';'",
+    "end": "trailing characters after ';'",
+}
 
 
 def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
     """Parse one Newick tree.  Raises NewickSyntaxError (with a position),
-    LeafLabelError, or PhyloInvariantError."""
-    return _Parser(text, allow_infinite).parse()
+    LeafLabelError, or PhyloInvariantError.  One loop reads the tokens with
+    a stack of open groups, so any depth parses; vertices are numbered -1,
+    -2, ... as their groups close."""
+    kids: dict[int, tuple[int, ...]] = {}
+    lengths: dict[int, float] = {}
+    leaves: list[int] = []
+    groups: list[list[int]] = []
+    node, state, pos = 0, "subtree", 0
+    for piece in _DELIMITERS.split(text):
+        tok = piece.strip()
+        at = pos + len(piece) - len(piece.lstrip())
+        pos += len(piece)
+        if not tok:
+            continue
+        if state == "subtree" and tok == "(":
+            groups.append([])
+        elif state == "subtree" and _INT.fullmatch(tok):
+            node = int(tok)
+            leaves.append(node)
+            state = "colon"
+        elif state == "colon" and tok == ":":
+            state = "length"
+        elif state == "length" and _NUMBER.fullmatch(tok):
+            if tok == "inf" and not allow_infinite:
+                raise NewickSyntaxError("'inf' lengths are not accepted here", at)
+            lengths[node] = float(tok)
+            state = "next" if groups else "last"
+        elif state == "next" and tok == ",":
+            groups[-1].append(node)
+            state = "subtree"
+        elif state == "next" and tok == ")":
+            children = groups.pop() + [node]
+            if len(children) < 2:
+                raise NewickSyntaxError(
+                    "interior vertices need at least two children", at)
+            node = -len(kids) - 1
+            kids[node] = tuple(children)
+            state = "colon"
+        elif state == "last" and tok == ";":
+            state = "end"
+        else:
+            raise NewickSyntaxError(_EXPECTED[state], at)
+    if state != "end":
+        raise NewickSyntaxError(_EXPECTED[state], len(text))
+    n = len(leaves)
+    if sorted(leaves) != list(range(1, n + 1)):
+        raise LeafLabelError(
+            f"leaf labels must be exactly 1..{n}, got {sorted(leaves)}")
+    shape = PlanarTree(n, node, _freeze(kids))
+    return PhyloTree.make(shape, lengths, extended=allow_infinite)
 
 
 def format_length(x: float) -> str:

@@ -31,6 +31,8 @@ from .trees import (
     PhyloError,
     PlanarTree,
     _freeze,
+    _grafted,
+    _inverse_perm,
     invert_perm,
     unit_tree,
 )
@@ -413,13 +415,11 @@ class PhyloTree:
     def length_map(self) -> dict[int, float]:
         return {u: self.length(u) for u in self.shape.nodes}
 
-    def with_lengths(self, new: Mapping[int, float],
-                     extended: bool | None = None) -> "PhyloTree":
+    def with_lengths(self, new: Mapping[int, float]) -> "PhyloTree":
         lens = self.length_map()
         lens.update(new)
-        if extended is None:
-            extended = any(math.isinf(x) for x in lens.values())
-        return PhyloTree.make(self.shape, lens, extended=extended)
+        return PhyloTree.make(self.shape, lens,
+                              extended=any(math.isinf(x) for x in lens.values()))
 
 
 def unit_phylo(length: float = 0.0) -> PhyloTree:
@@ -428,11 +428,11 @@ def unit_phylo(length: float = 0.0) -> PhyloTree:
                           extended=math.isinf(length))
 
 
-def to_phylo(w: WeightedTree, extended: bool = False) -> PhyloTree:
+def to_phylo(w: WeightedTree) -> PhyloTree:
     """Read a reduced weighted tree as a phylogenetic tree."""
     if not is_reduced(w):
         raise NotReduced("tree still admits rewrite moves; call normal_form")
-    return PhyloTree.make(w.shape, w.length_map, extended=extended)
+    return PhyloTree.make(w.shape, w.length_map)
 
 
 def from_phylo(p: PhyloTree) -> WeightedTree:
@@ -443,7 +443,7 @@ def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
     """Graft ``inner`` onto leaf i of ``outer``; the identified edge gets the
     sum of the two lengths, and collapses if that sum is an internal zero."""
     out, into = outer.shape.graft_renaming(i, inner.shape)
-    shape = outer.shape.graft(i, inner.shape)
+    shape = _grafted(outer.shape, inner.shape, out, into)
     lens = {out[u]: y for u, y in outer.length_map().items()}
     lens.update((into[u], y) for u, y in inner.length_map().items())
     x = out[i]
@@ -457,13 +457,10 @@ def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
 
 def phylo_act(p: PhyloTree, sigma: Sequence[int]) -> PhyloTree:
     """Relabel leaves by the right action of ``sigma``."""
-    sigma = tuple(sigma)
-    shape = p.shape.permute_leaves(sigma)
-    lens = {v: p.length(v) for v in p.shape.vertices}
-    inv = invert_perm(sigma)
-    for j in range(1, p.n + 1):
-        lens[inv[j - 1]] = p.leaf_length(j)
-    return PhyloTree.make(shape, lens, extended=p.is_extended)
+    inv = _inverse_perm(sigma, p.n)  # the leaf map of PlanarTree.permute_leaves
+    lens = {inv.get(u, u): x for u, x in p.length_map().items()}
+    return PhyloTree.make(p.shape.permute_leaves(sigma), lens,
+                          extended=p.is_extended)
 
 
 PHYL = Operad(

@@ -11,26 +11,24 @@ from .treespace import MetricTree, metric_tree
 
 
 def random_shape(rng: random.Random, n: int) -> PlanarTree:
-    """A random shape on leaves 1..n with no unary or 0-ary vertices."""
-    if n == 1:
-        return PlanarTree(1, 1, ())
-    kids: dict[int, tuple[int, ...]] = {}
-    counter = [0]
-
-    def build(leaves: list[int]) -> int:
-        if len(leaves) == 1:
-            return leaves[0]
-        counter[0] -= 1
-        v = counter[0]
+    """A random shape on leaves 1..n with no unary or 0-ary vertices: leaf
+    blocks are shuffled and cut, visited in preorder, left to right."""
+    kids: dict[int, list[int]] = {}
+    stack = [(list(range(1, n + 1)), 0)]  # (block, vertex it hangs from)
+    while stack:
+        leaves, parent = stack.pop()
+        u = leaves[0] if len(leaves) == 1 else -len(kids) - 1
+        if parent:
+            kids[parent].append(u)
+        if u > 0:
+            continue
+        kids[u] = []
         rng.shuffle(leaves)
         parts = rng.randint(2, len(leaves))
         cuts = sorted(rng.sample(range(1, len(leaves)), parts - 1))
-        blocks = [leaves[a:b] for a, b in zip([0] + cuts, cuts + [len(leaves)])]
-        kids[v] = tuple(build(b) for b in blocks)
-        return v
-
-    root = build(list(range(1, n + 1)))
-    return PlanarTree(n, root, _freeze(kids))
+        bounds = list(zip([0] + cuts, cuts + [len(leaves)]))
+        stack.extend((leaves[a:b], u) for a, b in reversed(bounds))
+    return PlanarTree(n, -1 if kids else 1, _freeze(kids))
 
 
 def random_length(rng: random.Random, zero_prob: float = 0.0,

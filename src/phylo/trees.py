@@ -199,20 +199,13 @@ class PlanarTree:
         """Identify ``inner``'s root edge with this tree's i-th leaf edge,
         renaming nodes by ``graft_renaming``.  The identified edge takes
         inner's position in the child order at the attachment vertex."""
-        out, into = self.graft_renaming(i, inner)
-        kids = {into[v]: tuple([into[c] for c in cs]) for v, cs in inner.children}
-        kids.update((v, tuple([out[c] for c in cs])) for v, cs in self.children)
-        return PlanarTree(self.n + inner.n - 1, out[self.root], _freeze(kids))
+        return _grafted(self, inner, *self.graft_renaming(i, inner))
 
     def permute_leaves(self, sigma: Sequence[int]) -> "PlanarTree":
         """Right action: the leaf labelled k is relabelled sigma^-1(k)."""
         inv = _inverse_perm(sigma, self.n)
-
-        def rl(u: int) -> int:
-            return inv[u] if u > 0 else u
-
-        kids = {v: tuple(rl(c) for c in cs) for v, cs in self.children}
-        return PlanarTree(self.n, rl(self.root), _freeze(kids))
+        kids = {v: tuple([inv.get(c, c) for c in cs]) for v, cs in self.children}
+        return PlanarTree(self.n, inv.get(self.root, self.root), _freeze(kids))
 
     def permute_children(self, v: int, sigma: Sequence[int]) -> "PlanarTree":
         """Reorder the children of ``v`` so position p holds child sigma^-1(p)."""
@@ -248,9 +241,9 @@ class PlanarTree:
     def contract_edge(self, u: int) -> "PlanarTree":
         return self.contract_edges((u,))
 
-    def insert_vertex(self, u: int, new_id: int | None = None) -> "PlanarTree":
+    def insert_vertex(self, u: int) -> "PlanarTree":
         """Subdivide the edge out of ``u`` with a fresh unary vertex."""
-        w = new_id if new_id is not None else min(self.vertices, default=0) - 1
+        w = min(self.vertices, default=0) - 1
         kids = {v: tuple(w if c == u else c for c in cs)
                 for v, cs in self.children}
         kids[w] = (u,)
@@ -310,6 +303,14 @@ def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
         if u < 0:
             stack.extend(reversed(kids[u]))
     return tuple(out)
+
+
+def _grafted(outer: PlanarTree, inner: PlanarTree, out: Mapping[int, int],
+             into: Mapping[int, int]) -> PlanarTree:
+    """The shape of a graft, its nodes renamed by ``graft_renaming``'s maps."""
+    kids = {into[v]: tuple([into[c] for c in cs]) for v, cs in inner.children}
+    kids.update((v, tuple([out[c] for c in cs])) for v, cs in outer.children)
+    return PlanarTree(outer.n + inner.n - 1, out[outer.root], _freeze(kids))
 
 
 def _freeze(kids: Mapping[int, Sequence[int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -543,7 +544,8 @@ class LabelledTree:
         out, into = self.shape.graft_renaming(i, inner.shape)
         labels = {out[v]: lab for v, lab in self.vlabels}
         labels.update((into[v], lab) for v, lab in inner.vlabels)
-        return LabelledTree.make(self.shape.graft(i, inner.shape), labels)
+        return LabelledTree.make(_grafted(self.shape, inner.shape, out, into),
+                                 labels)
 
     def permute_leaves(self, sigma: Sequence[int]) -> "LabelledTree":
         return LabelledTree(self.shape.permute_leaves(sigma), self.vlabels)

@@ -66,41 +66,46 @@ def compatible(a: frozenset[int], b: frozenset[int]) -> bool:
     return a.isdisjoint(b) or a <= b or b <= a
 
 
+def _nesting(clusters: list[frozenset[int]], top=None) -> dict | None:
+    """The cluster each leaf and each cluster sits directly inside (``top``
+    if none), in one pass over ``clusters`` listed largest first; None
+    when two clusters overlap without nesting."""
+    up: dict = {}
+    for c in clusters:
+        homes = {up.get(x, top) for x in c}
+        if len(homes) > 1:
+            return None
+        up[c] = homes.pop() if homes else top
+        up.update(dict.fromkeys(c, c))
+    return up
+
+
 def is_laminar(clusters: Iterable[frozenset[int]]) -> bool:
-    cl = list(clusters)
-    return all(compatible(a, b) for a, b in combinations(cl, 2))
+    return _nesting(sorted(clusters, key=len, reverse=True)) is not None
 
 
 def tree_from_clusters(n: int, clusters: Iterable[frozenset[int]]) -> PlanarTree:
     """The shape with the given internal-edge clusters (a laminar family of
     subsets of 1..n with 2 <= size <= n-1)."""
-    cl = sorted(set(clusters), key=lambda c: (-len(c), sorted(c)))
+    keys = {c: tuple(sorted(c)) for c in clusters}
+    cl = sorted(keys, key=lambda c: (-len(c), keys[c]))
     full = frozenset(range(1, n + 1))
     for c in cl:
         if not 2 <= len(c) <= n - 1 or not c <= full:
             raise TreeSpaceError(f"{sorted(c)} cannot be an internal edge cluster")
-    if not is_laminar(cl):
+    up = _nesting(cl, full)
+    if up is None:
         raise TreeSpaceError("clusters are not pairwise compatible")
     ids = {full: -1}
     for c in cl:
         ids[c] = -(len(ids) + 1)
-    kids: dict[int, list[int]] = {v: [] for v in ids.values()}
+    kids: dict[int, list] = {v: [] for v in ids.values()}
     for c in cl:
-        parent = min((d for d in ids if c < d), key=len)
-        kids[ids[parent]].append(ids[c])
+        kids[ids[up[c]]].append((keys[c], ids[c]))
     for leaf in range(1, n + 1):
-        parent = min((d for d in ids if leaf in d), key=len)
-        kids[ids[parent]].append(leaf)
-
-    def sort_key(u: int) -> tuple:
-        if u > 0:
-            return (u,)
-        (c,) = [d for d, i in ids.items() if i == u]
-        return tuple(sorted(c))
-
-    for v in kids:
-        kids[v].sort(key=sort_key)
-    return PlanarTree(n, -1, _freeze(kids))
+        kids[ids[up.get(leaf, full)]].append(((leaf,), leaf))
+    return PlanarTree(n, -1, _freeze({v: [u for _, u in sorted(ks)]
+                                      for v, ks in kids.items()}))
 
 
 def axis_order(clusters: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:

@@ -39,6 +39,23 @@ def caterpillar(depth: int) -> PlanarTree:
     return PlanarTree(depth + 1, -1, tuple(sorted(kids.items())))
 
 
+def caterpillar_newick(depth: int) -> str:
+    """Newick text of ``caterpillar(depth)`` with leaf edges 0.5, internal
+    edges 1 and root edge 0, written without the (recursive) serializer."""
+    head = "".join(f"({k}:0.5," for k in range(1, depth))
+    return head + f"({depth}:0.5,{depth + 1}:0.5)" + ":1)" * (depth - 1) + ":0;"
+
+
+def balanced_newick(n: int) -> str:
+    """Newick text of a tree on leaves 1..n that pairs neighbouring blocks
+    level by level: depth about log2(n), leaf edges 0.5, internal edges 1."""
+    parts = [f"{k}:0.5" for k in range(1, n + 1)]
+    while len(parts) > 1:
+        paired = [f"({a},{b}):1" for a, b in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2:]
+    return parts[0].removesuffix(":1").removesuffix(":0.5") + ":0;"
+
+
 def expm_taylor(a: np.ndarray, terms: int = 30) -> np.ndarray:
     """Plain truncated exponential series, no scaling: the expm oracle."""
     total = np.eye(a.shape[0])

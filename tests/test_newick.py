@@ -1,8 +1,10 @@
 import math
 import random
+import re
 
 import pytest
 
+from conftest import caterpillar, caterpillar_newick
 from phylo.newick import (
     LeafLabelError,
     NewickSyntaxError,
@@ -53,6 +55,37 @@ class TestParse:
     def test_whitespace_insignificant(self):
         assert parse_newick(" ( 1:0 , 2:0.5 ) : 1e-1 ;") == \
             parse_newick("(1:0,2:0.5):0.1;")
+
+    @pytest.mark.parametrize("text, position", [
+        ("(1x:0,2:0):0;", 1),      # a leaf token with trailing characters
+        ("(1:0,2:0.5 5):0;", 7),   # a length token with trailing characters
+        ("((1:0):1,2:0):0;", 5),   # the ')' that closes a one-child group
+        ("(1:0,2:0):0", 11),       # the end of the text
+        ("(1:0,2:0):0; x", 13),    # trailing characters after ';'
+    ])
+    def test_error_points_at_or_before_the_offending_token(self, text, position):
+        with pytest.raises(NewickSyntaxError) as err:
+            parse_newick(text)
+        assert err.value.position == position
+
+    def test_whitespace_between_any_tokens(self):
+        # grammar-generated trees, written out with Unicode whitespace runs
+        # between tokens, read back as the serializer's tree
+        rng = random.Random(17)
+        spaces = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"
+        for _ in range(300):
+            text = serialize_newick(random_phylo(rng, max_leaves=9))
+            spaced = "".join(
+                "".join(rng.choices(spaces, k=rng.randint(0, 3))) + tok
+                for tok in re.split(r"([(),:;])", text))
+            assert serialize_newick(parse_newick(spaced)) == text
+
+    def test_deep_caterpillar(self):
+        # 5000 leaves, one nesting level per vertex
+        t = caterpillar(4999)
+        lens = {u: 0.5 if u > 0 else 1.0 for u in t.nodes}
+        lens[t.root] = 0.0
+        assert parse_newick(caterpillar_newick(4999)) == PhyloTree.make(t, lens)
 
     def test_inf_gated(self):
         with pytest.raises(NewickSyntaxError):

@@ -298,8 +298,8 @@ class TestNormalForm:
             for u in shape.nodes:
                 if rng.random() < 0.4:
                     for _ in range(rng.randint(3, 4)):
-                        v = min(shape.vertices, default=0) - 1
-                        shape, u = shape.insert_vertex(u, v), v
+                        shape = shape.insert_vertex(u)
+                        u = shape.parent[u]
             cur = w = WeightedTree.make(
                 shape, {u: rng.choice(pool) for u in shape.nodes})
             while moves := [

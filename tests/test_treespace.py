@@ -1,12 +1,20 @@
 import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import caterpillar
 from phylo.operads import PhyloTree
-from phylo.sampling import random_metric, random_metric_on_grid, random_phylo
-from phylo.trees import make_tree
+from phylo.sampling import (
+    random_metric,
+    random_metric_on_grid,
+    random_phylo,
+    random_shape,
+)
+from phylo.trees import isomorphic, make_tree
 from phylo.treespace import (
     ArityMismatch,
     ArityTooLarge,
@@ -18,15 +26,18 @@ from phylo.treespace import (
     WrongArity,
     bhv_distance,
     cluster_lengths,
+    compatible,
     decompose,
     decompose1,
     enumerate_binary_topologies,
     enumerate_strata,
+    is_laminar,
     metric_tree,
     neighborhood_contains,
     orthant_of,
     recompose,
     recompose1,
+    shape_clusters,
     tree_from_clusters,
     unit_metric_tree,
 )
@@ -136,6 +147,48 @@ class TestOrthants:
         for n in (2, 3, 4, 5):
             for o in enumerate_binary_topologies(n):
                 assert o.dimension == n - 2
+
+
+class TestClusters:
+    def test_laminar_matches_the_pairwise_check(self):
+        rng = random.Random(29)
+        seen = set()
+        for k in range(2000):
+            n = rng.randint(2, 10)
+            if k % 2:
+                fam = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                       for _ in range(rng.randint(0, 6))]
+            else:  # the union of two trees' clusters, as the cone distance takes
+                fam = list(shape_clusters(random_shape(rng, n))
+                           | shape_clusters(random_shape(rng, n)))
+            want = all(compatible(a, b) for a, b in combinations(fam, 2))
+            assert is_laminar(fam) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_tree_from_clusters_inverts_shape_clusters(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            shape = random_shape(rng, rng.randint(2, 12))
+            rebuilt = tree_from_clusters(shape.n, shape_clusters(shape))
+            assert isomorphic(rebuilt, shape)
+
+    def test_overlapping_clusters_rejected(self):
+        with pytest.raises(TreeSpaceError):
+            tree_from_clusters(4, [fs(1, 2), fs(2, 3)])
+
+    def test_cone_distance_on_a_deep_caterpillar(self):
+        # 2000 leaves; both trees have one topology, so the answer is the
+        # Euclidean one.  Took about 4 s on a 2-vCPU x86-64 host.
+        shape = caterpillar(1999)
+
+        def metric(x):
+            return MetricTree(PhyloTree.make(shape, {
+                u: x if shape.is_internal_edge(u) else 0.0 for u in shape.nodes}))
+
+        t0 = time.perf_counter()
+        assert bhv_distance(metric(1.0), metric(2.0), "cone") == math.sqrt(1998)
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestBhvDistance:
