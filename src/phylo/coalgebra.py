@@ -10,7 +10,6 @@ projector, extending the action to trees with lengths in [0, inf].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -29,7 +28,7 @@ from .markov import (
     expm,
 )
 from .operads import PhyloTree
-from .trees import PhyloError
+from .trees import PhyloError, record
 
 
 class CoalgebraError(PhyloError):
@@ -52,7 +51,7 @@ class ParameterOutOfRange(CoalgebraError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LeafTensor:
     """A real function on n-tuples of states, leaf 1 on the outermost axis."""
 

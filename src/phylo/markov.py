@@ -9,14 +9,13 @@ is p -> exp(tH) p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .operads import PhyloTree
-from .trees import PhyloError
+from .trees import PhyloError, record
 
 COLUMN_SUM_TOL = 1e-10
 GENERATOR_SUM_TOL = 1e-12
@@ -89,7 +88,7 @@ def _finite_array(a: Any, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@record
 class StateSpace:
     labels: tuple[str, ...]
 
@@ -114,7 +113,7 @@ def _check_same_states(a: StateSpace, b: StateSpace) -> None:
         raise StateSpaceMismatch(f"{a.labels} vs {b.labels}")
 
 
-@dataclass(frozen=True)
+@record
 class MarkovGenerator:
     states: StateSpace
     H: np.ndarray
@@ -153,7 +152,7 @@ def validate_generator(H: Any, states: StateSpace | Sequence[str] | None = None
     return MarkovGenerator(space, arr)
 
 
-@dataclass(frozen=True)
+@record
 class StochasticMatrix:
     states: StateSpace
     M: np.ndarray
@@ -177,7 +176,7 @@ class StochasticMatrix:
         return Distribution.make(self.states, self.M @ f.p)
 
 
-@dataclass(frozen=True)
+@record
 class Distribution:
     states: StateSpace
     p: np.ndarray
@@ -300,7 +299,7 @@ def semigroup_defect(g: MarkovGenerator, s: float, t: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-@dataclass(frozen=True)
+@record
 class Semigroup:
     """The one-parameter family t -> exp(tH) of a generator."""
 
@@ -462,7 +461,3 @@ def generator_from_json(doc: Any) -> MarkovGenerator:
 def distribution_from_json(doc: Any) -> Distribution:
     states, p = _json_fields(doc, "distribution", "p")
     return Distribution.make(states, p)
-
-
-def distribution_to_json(f: Distribution) -> dict:
-    return {"states": list(f.states.labels), "p": [float(x) for x in f.p]}

@@ -60,6 +60,8 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
     leaves: list[int] = []
     groups: list[list[int]] = []
     node, state, pos = 0, "subtree", 0
+    # a leaf number is at most the leaf count, which is below len(text)
+    most_digits = len(str(len(text)))
     for piece in _DELIMITERS.split(text):
         tok = piece.strip()
         at = pos + len(piece) - len(piece.lstrip())
@@ -69,7 +71,8 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
         if state == "subtree" and tok == "(":
             groups.append([])
         elif state == "subtree" and _INT.fullmatch(tok):
-            node = int(tok)
+            node = (int(tok) if len(tok) <= most_digits
+                    else _long_label(tok, most_digits))
             leaves.append(node)
             state = "colon"
         elif state == "colon" and tok == ":":
@@ -102,6 +105,19 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
             f"leaf labels must be exactly 1..{n}, got {sorted(leaves)}")
     shape = PlanarTree(n, node, _freeze(kids))
     return PhyloTree.make(shape, lengths, extended=allow_infinite)
+
+
+def _long_label(tok: str, most_digits: int) -> int:
+    """The number of a leaf label longer than any leaf number: its leading
+    zeros dropped, in any script (a decimal digit's zero is its code point
+    less its value), or LeafLabelError when more than ``most_digits``
+    digits are left."""
+    zeros = "".join({chr(ord(c) - int(c)) for c in set(tok)})
+    digits = tok.lstrip(zeros)
+    if len(digits) > most_digits:
+        raise LeafLabelError(
+            f"leaf label of {len(digits)} digits exceeds every leaf number")
+    return int(digits or "0")
 
 
 def format_length(x: float) -> str:

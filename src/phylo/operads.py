@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
@@ -34,6 +33,7 @@ from .trees import (
     _grafted,
     _inverse_perm,
     invert_perm,
+    record,
     unit_tree,
 )
 
@@ -164,7 +164,7 @@ PLANAR_TREES = Operad(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Collection:
     """Per-arity sets of operation labels with decidable membership."""
 
@@ -236,7 +236,7 @@ def counit_equivalent(operad: Operad, t1: LabelledTree, t2: LabelledTree) -> boo
 # edge-weighted trees and their normal forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class WeightedTree:
     """A planar tree with a nonnegative length on every edge.
 
@@ -341,7 +341,7 @@ def is_reduced(w: WeightedTree) -> bool:
 # phylogenetic trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PhyloTree:
     """An isomorphism class of edge-weighted trees with positive internal
     lengths and every vertex at least binary.
@@ -506,11 +506,11 @@ def expand_inner_perm(tau: Sequence[int], i: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
 class LawReport:
-    law: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, law: str) -> None:
+        self.law = law
+        self.checked = 0
+        self.failures: list = []
 
     @property
     def passed(self) -> bool:

@@ -24,8 +24,8 @@ label fold of a contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
@@ -80,7 +80,74 @@ class InvalidSubtree(TreeError):
     pass
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen value class over its annotated fields.
+
+    Instances take the fields positionally or by keyword, with the class
+    attributes of those names as defaults, and then run ``__post_init__``
+    when the class has one.  Equality and hashing go by the tuple of
+    fields between instances of the same class; the repr is
+    ``Name(field=value!r, ...)``; assigning or deleting an attribute
+    raises ``AttributeError``.  ``cached_property`` still works, since it
+    writes the instance ``__dict__`` directly.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    post = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__qualname__, names, defaults, args, kwargs)
+        # object.__setattr__ keeps the values inline; touching self.__dict__
+        # here would build a dict and slow every later attribute read
+        for k, v in zip(names, args):
+            _set(self, k, v)
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(fields(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join([f"{k}={v!r}" for k, v in zip(names, fields(self))])
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for fn in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    return cls
+
+
+def _bind(name: str, names: tuple[str, ...], defaults: Mapping[str, Any],
+          args: tuple[Any, ...], kwargs: Mapping[str, Any]) -> list[Any]:
+    """The field values of a call that passed keywords or left defaults."""
+    if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+        raise TypeError(f"{name}() takes the fields {names}, got {len(args)} "
+                        f"positional arguments and the keywords {sorted(kwargs)}")
+    values = {**defaults, **dict(zip(names, args)), **kwargs}
+    missing = [k for k in names if k not in values]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments {missing}")
+    return [values[k] for k in names]
+
+
+@record
 class PlanarTree:
     """A rooted tree with ordered children, leaves 1..n and vertex ids < 0.
 
@@ -456,7 +523,7 @@ def unit_tree() -> PlanarTree:
     return PlanarTree(1, 1, ())
 
 
-@dataclass(frozen=True)
+@record
 class Subtree:
     """A connected piece of a host tree, determined by its vertex set.
 
@@ -516,7 +583,7 @@ def contract_subtree(t: PlanarTree, s: Subtree) -> PlanarTree:
     return t.contract_edges(s.internal_edge_sources())
 
 
-@dataclass(frozen=True)
+@record
 class LabelledTree:
     """A planar tree whose vertices carry labels (stored as sorted pairs)."""
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .operads import PhyloTree
-from .trees import PhyloError, PlanarTree, _freeze, unit_tree
+from .trees import PhyloError, PlanarTree, _freeze, record, unit_tree
 
 
 class TreeSpaceError(PhyloError):
@@ -117,7 +116,7 @@ def axis_order(clusters: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]
 # the two factors of a phylogenetic tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ExternalLengths:
     """Root edge length at index 0, leaf edge lengths at 1..n."""
 
@@ -132,7 +131,7 @@ class ExternalLengths:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
+@record
 class MetricTree:
     """A phylogenetic tree with all external lengths exactly zero."""
 
@@ -210,7 +209,7 @@ def recompose1(length: float) -> PhyloTree:
 # orthants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Orthant:
     """The coordinate patch of one binary topology."""
 
@@ -234,7 +233,7 @@ class Orthant:
         return tree_from_clusters(self.n, self.clusters)
 
 
-@dataclass(frozen=True)
+@record
 class OrthantPosition:
     """Where a metric tree sits: its own stratum's axes and coordinates,
     the containing orthant when binary, otherwise every adjacent binary
@@ -441,7 +440,7 @@ def _contains(iv: Interval, x: float) -> bool:
     return lo < x < hi
 
 
-@dataclass(frozen=True)
+@record
 class BasicOpenSet:
     """A basic neighborhood of the trees with a given base topology.
 

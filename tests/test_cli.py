@@ -480,6 +480,13 @@ class TestNewickInputs:
         assert code == 0 and parse_newick(out) == parse_newick(text)
         assert run(capsys, "canon", write(tmp_path, "c.nwk", out)) == (0, out, "")
 
+    @pytest.mark.parametrize("command", ["validate", "canon"])
+    def test_overlong_leaf_label_exit_one(self, capsys, tmp_path, command):
+        # more digits than Python converts to int by default
+        path = write(tmp_path, "t.nwk", "(" + "1" * 5000 + ":0,2:0):0;")
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "") and "leaf label" in err
+
     @pytest.mark.xfail(strict=True, reason="serialize_newick recurses once per "
                        "nesting level, so writing a 5000-deep tree exits 2")
     def test_caterpillar_round_trips_through_canon(self, capsys, tmp_path):
@@ -491,7 +498,9 @@ class TestNewickInputs:
 # -- import boundary ----------------------------------------------------------
 
 SRC = Path(phylo.__file__).resolve().parent.parent
-WATCHED = ("numpy", "phylo.markov", "phylo.coalgebra", "phylo.treespace")
+# dataclasses pulls in inspect, ast, dis and tokenize: a cost on every call
+WATCHED = ("numpy", "phylo.markov", "phylo.coalgebra", "phylo.treespace",
+           "dataclasses", "inspect")
 METRIC = "((1:0,2:0):1,(3:0,4:0):1):0;"
 
 
@@ -508,6 +517,11 @@ def modules_after(code: str, *argv: str, cwd=None,
 
 def test_import_phylo_loads_no_numpy():
     assert modules_after("import sys, phylo") == set()
+
+
+def test_no_layer_imports_dataclasses():
+    code = "import sys, phylo.markov, phylo.coalgebra, phylo.treespace, phylo.sampling"
+    assert modules_after(code, watched=("dataclasses",)) == set()
 
 
 @pytest.mark.parametrize("argv, tree_space", [

@@ -39,6 +39,18 @@ class TestParse:
         with pytest.raises(LeafLabelError):
             parse_newick("(1:0,3:0):0;")
 
+    @pytest.mark.parametrize("zero", ["0", "\u0660", "\uff10"])
+    def test_leading_zeros_do_not_count(self, zero):
+        # 5000 leading zeros, in any script, before the label 1
+        text = "(" + zero * 5000 + "1:0,2:0):0;"
+        assert parse_newick(text) == parse_newick("(1:0,2:0):0;")
+
+    @pytest.mark.parametrize("label", ["1" * 5000, "0" * 10 + "1" * 20, "1" * 11],
+                             ids=["5000-digits", "zero-padded", "11-digits"])
+    def test_label_longer_than_any_leaf_number_rejected(self, label):
+        with pytest.raises(LeafLabelError):
+            parse_newick("(" + label + ":0,2:0):0;")
+
     def test_syntax_error_position(self):
         with pytest.raises(NewickSyntaxError) as err:
             parse_newick("(1:0,2:0):;")
