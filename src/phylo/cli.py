@@ -2,7 +2,8 @@
 
 Tree-valued results print as canonical Newick text; structured results
 print as JSON.  Diagnostics go to stderr.  Exit codes: 0 success, 1 bad
-input, 2 internal invariant violation, 3 numeric non-convergence.
+input (a malformed command line included), 2 internal invariant
+violation, 3 numeric non-convergence.
 
 Each command imports the layers it calls, so the tree-only commands start
 without numpy: only evaluate, limit, jc, simulate and wcheck load the Markov
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import newick, operads
 from .operads import MalformedLabelling, PhyloTree, WeightedTree
@@ -35,6 +36,12 @@ def _read_json(path: str) -> Any:
     except RecursionError:
         # the decoder recurses once per nesting level
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() refuses to read more than sys.get_int_max_str_digits() digits
+        raise json.JSONDecodeError("JSON integer has too many digits",
+                                   text, 0) from None
 
 
 def _load_tree(path: str, allow_infinite: bool = False) -> PhyloTree:
@@ -234,8 +241,17 @@ def _cmd_wcheck(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a malformed command line, like any other bad input; 2
+    stays for internal faults.  Subcommand parsers take this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="phylo", description=__doc__)
+    ap = _Parser(prog="phylo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a Newick tree")

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import re
+from typing import NoReturn
 
 from .operads import PhyloTree
-from .trees import PhyloError, PlanarTree, _freeze
+from .trees import PhyloError, _derived
 
 
 class NewickError(PhyloError):
@@ -36,9 +37,15 @@ class LeafLabelError(NewickError):
     pass
 
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|inf")
+_LENGTH = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|inf"
+_NUMBER = re.compile(_LENGTH)
 _INT = re.compile(r"\d+")
-_DELIMITERS = re.compile(r"([(),:;])")
+# One edge: the groups it opens and its leaf number, or the ')' that closes
+# a group; then ':', the length and what follows: ',' or ';', or a ')' left
+# for the next edge to read.
+_EDGE = re.compile(r"\s*(?:((?:\(\s*)*)(\d+)|(\)))\s*:\s*(" + _LENGTH
+                   + r")\s*(?:([,;])|(?=\)))")
+_DELIMITER = re.compile(r"[(),:;]")
 # what each parser state was waiting for, as the error message names it
 _EXPECTED = {
     "subtree": "expected a leaf number or '('",
@@ -52,59 +59,113 @@ _EXPECTED = {
 
 def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
     """Parse one Newick tree.  Raises NewickSyntaxError (with a position),
-    LeafLabelError, or PhyloInvariantError.  One loop reads the tokens with
-    a stack of open groups, so any depth parses; vertices are numbered -1,
-    -2, ... as their groups close."""
-    kids: dict[int, tuple[int, ...]] = {}
+    LeafLabelError, or PhyloInvariantError.  One regex match reads each
+    edge, and a stack of open groups nests them, so any depth parses;
+    vertices are numbered -1, -2, ... as their groups close.  An edge the
+    pattern rejects goes to ``_diagnose``, which names the error."""
+    kids: list[tuple[int, tuple[int, ...]]] = []
     lengths: dict[int, float] = {}
     leaves: list[int] = []
     groups: list[list[int]] = []
-    node, state, pos = 0, "subtree", 0
     # a leaf number is at most the leaf count, which is below len(text)
     most_digits = len(str(len(text)))
-    for piece in _DELIMITERS.split(text):
+    edge = _EDGE.match
+    pos, closing, node = 0, False, 0
+    while True:
+        m = edge(text, pos)
+        if m is None:
+            _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
+        opens, leaf, close, length, sep = m.groups()
+        # an edge must fit the text before it: a ')' only where the last
+        # edge left one (the leaf branch cannot match there), ';' only at
+        # depth 0 and ',' or ')' only inside a group
+        if close:
+            if not closing or (sep == ";") != (len(groups) == 1):
+                _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
+            children = groups.pop()
+            children.append(node)
+            if len(children) < 2:
+                raise NewickSyntaxError(
+                    "interior vertices need at least two children", m.start(3))
+            node = -len(kids) - 1
+            kids.append((node, tuple(children)))
+        else:
+            if (sep == ";") != (not groups and not opens):
+                _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
+            if opens:
+                groups += [[] for _ in range(opens.count("("))]
+            node = (int(leaf) if len(leaf) <= most_digits
+                    else _long_label(leaf, most_digits))
+            leaves.append(node)
+        if length == "inf" and not allow_infinite:
+            raise NewickSyntaxError("'inf' lengths are not accepted here", m.start(4))
+        lengths[node] = float(length)
+        pos = m.end()
+        if sep == ",":
+            groups[-1].append(node)
+            closing = False
+        elif sep:
+            break
+        else:
+            closing = True
+    rest = text[pos:].lstrip()
+    if rest:
+        raise NewickSyntaxError(_EXPECTED["end"], len(text) - len(rest))
+    n = len(leaves)
+    if sorted(leaves) != list(range(1, n + 1)):
+        raise LeafLabelError(
+            f"leaf labels must be exactly 1..{n}, got {sorted(leaves)}")
+    # the grammar made every node but the root one vertex's child and the
+    # check above made the leaves 1..n, so the shape is a valid tree; ids
+    # were given as groups closed, so reversed they ascend
+    shape = _derived(n, node, tuple(reversed(kids)))
+    return PhyloTree.make(shape, lengths, extended=allow_infinite)
+
+
+def _diagnose(text: str, pos: int, closing: bool, groups: list[list[int]],
+              allow_infinite: bool, most_digits: int) -> NoReturn:
+    """Raise the error of the edge at ``pos`` that ``_EDGE`` rejected.  The
+    token rules run from the edge's start, with the open groups as the
+    accepted text left them: tokens are the delimiters ( ) , : ; and the
+    stripped text between them, and the first token that does not fit
+    names the error and its position."""
+    state = "next" if closing else "subtree"
+    while True:
+        d = _DELIMITER.search(text, pos)
+        stop = d.start() if d else len(text)
+        piece = text[pos:stop]
         tok = piece.strip()
-        at = pos + len(piece) - len(piece.lstrip())
-        pos += len(piece)
-        if not tok:
-            continue
+        if tok:
+            at = pos + len(piece) - len(piece.lstrip())
+        elif d:
+            tok, at, stop = d.group(), stop, stop + 1
+        else:
+            raise NewickSyntaxError(_EXPECTED[state], len(text))
+        pos = stop
         if state == "subtree" and tok == "(":
             groups.append([])
         elif state == "subtree" and _INT.fullmatch(tok):
-            node = (int(tok) if len(tok) <= most_digits
-                    else _long_label(tok, most_digits))
-            leaves.append(node)
+            if len(tok) > most_digits:
+                _long_label(tok, most_digits)
             state = "colon"
         elif state == "colon" and tok == ":":
             state = "length"
         elif state == "length" and _NUMBER.fullmatch(tok):
             if tok == "inf" and not allow_infinite:
                 raise NewickSyntaxError("'inf' lengths are not accepted here", at)
-            lengths[node] = float(tok)
             state = "next" if groups else "last"
         elif state == "next" and tok == ",":
-            groups[-1].append(node)
+            groups[-1].append(0)  # only how many children a group has counts
             state = "subtree"
         elif state == "next" and tok == ")":
-            children = groups.pop() + [node]
-            if len(children) < 2:
+            if len(groups.pop()) < 1:
                 raise NewickSyntaxError(
                     "interior vertices need at least two children", at)
-            node = -len(kids) - 1
-            kids[node] = tuple(children)
             state = "colon"
         elif state == "last" and tok == ";":
             state = "end"
         else:
             raise NewickSyntaxError(_EXPECTED[state], at)
-    if state != "end":
-        raise NewickSyntaxError(_EXPECTED[state], len(text))
-    n = len(leaves)
-    if sorted(leaves) != list(range(1, n + 1)):
-        raise LeafLabelError(
-            f"leaf labels must be exactly 1..{n}, got {sorted(leaves)}")
-    shape = PlanarTree(n, node, _freeze(kids))
-    return PhyloTree.make(shape, lengths, extended=allow_infinite)
 
 
 def _long_label(tok: str, most_digits: int) -> int:

@@ -360,23 +360,25 @@ class PhyloTree:
              extended: bool = False) -> "PhyloTree":
         if shape.n < 1:
             raise PhyloInvariantError("phylogenetic trees have at least one leaf")
-        for v in shape.vertices:
-            if shape.arity(v) < 2:
+        for v, kids in shape.children:
+            if len(kids) < 2:
                 raise PhyloInvariantError(
-                    f"vertex {v} has arity {shape.arity(v)}; 0- and 1-ary "
+                    f"vertex {v} has arity {len(kids)}; 0- and 1-ary "
                     "vertices are not allowed")
-        if set(lengths) != set(shape.nodes):
+        parent = shape.parent  # its keys are the nodes: every edge's source
+        if lengths.keys() != parent.keys():
             raise PhyloInvariantError("lengths must cover every edge exactly once")
+        lens: dict[int, float] = {}
         for u, x in lengths.items():
             x = float(x)
-            if math.isnan(x) or x < 0:
+            if not x >= 0:  # NaN or negative
                 raise PhyloInvariantError(f"edge out of {u} has bad length {x!r}")
-            if not extended and math.isinf(x):
+            if x == math.inf and not extended:
                 raise PhyloInvariantError("infinite length needs extended=True")
-            if shape.is_internal_edge(u) and x == 0:
+            if x == 0 and u < 0 and parent[u] < 0:
                 raise PhyloInvariantError(
                     f"internal edge out of {u} has length zero")
-        lens = {u: float(x) + 0.0 for u, x in lengths.items()}
+            lens[u] = x + 0.0
         canon, _, lens = shape.canonical("unordered", labels=lens)
         packed = [lens[j] for j in range(1, shape.n + 1)]
         packed.extend(lens[-j] for j in range(1, canon.num_vertices + 1))
@@ -410,10 +412,11 @@ class PhyloTree:
 
     @property
     def is_extended(self) -> bool:
-        return any(math.isinf(x) for x in self.lengths)
+        return math.inf in self.lengths
 
     def length_map(self) -> dict[int, float]:
-        return {u: self.length(u) for u in self.shape.nodes}
+        n, k = self.n, self.shape.num_vertices
+        return dict(zip((*range(1, n + 1), *range(-1, -k - 1, -1)), self.lengths))
 
     def with_lengths(self, new: Mapping[int, float]) -> "PhyloTree":
         lens = self.length_map()

@@ -272,7 +272,7 @@ class PlanarTree:
         """Right action: the leaf labelled k is relabelled sigma^-1(k)."""
         inv = _inverse_perm(sigma, self.n)
         kids = {v: tuple([inv.get(c, c) for c in cs]) for v, cs in self.children}
-        return PlanarTree(self.n, inv.get(self.root, self.root), _freeze(kids))
+        return _derived(self.n, inv.get(self.root, self.root), _freeze(kids))
 
     def permute_children(self, v: int, sigma: Sequence[int]) -> "PlanarTree":
         """Reorder the children of ``v`` so position p holds child sigma^-1(p)."""
@@ -303,7 +303,7 @@ class PlanarTree:
             top[u] = top[self.parent[u]] if u in gone else u
             if u not in gone:
                 kids[top[self.parent[u]]].append(u)
-        return PlanarTree(self.n, self.root, _freeze(kids))
+        return _derived(self.n, self.root, _freeze(kids))
 
     def contract_edge(self, u: int) -> "PlanarTree":
         return self.contract_edges((u,))
@@ -339,26 +339,34 @@ class PlanarTree:
         if labels is None:
             labels = {}
         keys: dict[int, str] = {}
-        order: dict[int, tuple[int, ...]] = {}
+        order: dict[int, Sequence[int]] = {}
+        child_map = self.child_map
+        unordered = mode == "unordered"
         for u in reversed(self.preorder):
-            head = repr(labels[u]) + ":" if u in labels else ""
             if u > 0:
-                keys[u] = head + "L" + str(u) if leaf_labels else head + "L"
-                continue
-            kids = self.child_map[u]
-            if mode == "unordered":
-                kids = tuple(sorted(kids, key=keys.__getitem__))
-            order[u] = kids
-            keys[u] = head + "(" + ",".join([keys.pop(c) for c in kids]) + ")"
+                key = f"L{u}" if leaf_labels else "L"
+            else:
+                kids = child_map[u]
+                if unordered:
+                    kids = sorted(kids, key=keys.__getitem__)
+                order[u] = kids
+                key = f"({','.join([keys.pop(c) for c in kids])})"
+            keys[u] = f"{labels[u]!r}:{key}" if u in labels else key
+        # one walk in the new child order numbers the vertices as they pop,
+        # so ascending ids are the vertices in reverse pop order
         rename: dict[int, int] = {}
-        for u in _preorder(self.root, order):
+        stack = [self.root]
+        while stack:
+            u = stack.pop()
             if u < 0:
-                rename[u] = -(len(rename) + 1)
-        new_kids = {rename[v]: tuple([rename.get(c, c) for c in cs])
-                    for v, cs in order.items()}
-        root = rename.get(self.root, self.root)
-        new_labels = {rename.get(u, u): lab for u, lab in labels.items()}
-        return PlanarTree(self.n, root, _freeze(new_kids)), keys[self.root], new_labels
+                rename[u] = -len(rename) - 1
+                stack.extend(reversed(order[u]))
+        get = rename.get
+        children = tuple([(rename[v], tuple([get(c, c) for c in order[v]]))
+                          for v in reversed(rename)])
+        root = get(self.root, self.root)
+        new_labels = {get(u, u): lab for u, lab in labels.items()}
+        return _derived(self.n, root, children), keys[self.root], new_labels
 
 
 def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
@@ -377,7 +385,21 @@ def _grafted(outer: PlanarTree, inner: PlanarTree, out: Mapping[int, int],
     """The shape of a graft, its nodes renamed by ``graft_renaming``'s maps."""
     kids = {into[v]: tuple([into[c] for c in cs]) for v, cs in inner.children}
     kids.update((v, tuple([out[c] for c in cs])) for v, cs in outer.children)
-    return PlanarTree(outer.n + inner.n - 1, out[outer.root], _freeze(kids))
+    return _derived(outer.n + inner.n - 1, out[outer.root], _freeze(kids))
+
+
+def _derived(n: int, root: int,
+             children: tuple[tuple[int, tuple[int, ...]], ...]) -> PlanarTree:
+    """A PlanarTree built without ``__post_init__``'s checks, for a tree the
+    library derived from a valid tree by an operation that keeps it valid,
+    with ``children`` sorted by vertex id as ``_freeze`` leaves them.  Input
+    from outside the library goes through ``PlanarTree(...)``, which checks
+    it."""
+    t = object.__new__(PlanarTree)
+    _set(t, "n", n)
+    _set(t, "root", root)
+    _set(t, "children", children)
+    return t
 
 
 def _freeze(kids: Mapping[int, Sequence[int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:

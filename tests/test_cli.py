@@ -285,6 +285,26 @@ class TestOneLeafAndBadInputs:
         assert run(capsys, "act", "--perm", "a,b", path)[0] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["topologies", "--n", "abc"], "invalid int value: 'abc'"),
+    (["compose", "a.nwk", "b.nwk"], "the following arguments are required: --at"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+], ids=["bad-int", "missing-flag", "unknown-command"])
+def test_usage_errors_exit_one(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == 1
+    assert err.startswith("usage: phylo") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["canon", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0 and "usage: phylo" in capsys.readouterr().out
+
+
 def exit_code(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -437,6 +457,15 @@ class TestMalformedTreeInputs:
         code, out, err = run(capsys, "reduce",
                              write(tmp_path, "w.json", unary_chain(5000)))
         assert code == 1 and out == "" and "nested too deeply" in err
+
+    @pytest.mark.parametrize("command, doc", [
+        (("reduce",), '{"leaf": ' + "1" * 5000 + ', "length": 0}'),
+        (("limit", "--model"), "[" + "1" * 5000 + "]"),
+    ], ids=["reduce", "limit"])
+    def test_overlong_json_integer_exit_one(self, capsys, tmp_path, command, doc):
+        # more digits than Python converts to int by default
+        code, out, err = run(capsys, *command, write(tmp_path, "d.json", doc))
+        assert (code, out) == (1, "") and "too many digits" in err
 
     def test_undecodable_bytes_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bom.txt"
