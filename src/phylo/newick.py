@@ -62,7 +62,8 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
     LeafLabelError, or PhyloInvariantError.  One regex match reads each
     edge, and a stack of open groups nests them, so any depth parses;
     vertices are numbered -1, -2, ... as their groups close.  An edge the
-    pattern rejects goes to ``_diagnose``, which names the error."""
+    pattern rejects, or one that breaks a rule the pattern cannot see,
+    goes to ``_diagnose``, which names the error."""
     kids: list[tuple[int, tuple[int, ...]]] = []
     lengths: dict[int, float] = {}
     leaves: list[int] = []
@@ -77,28 +78,26 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
             _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
         opens, leaf, close, length, sep = m.groups()
         # an edge must fit the text before it: a ')' only where the last
-        # edge left one (the leaf branch cannot match there), ';' only at
-        # depth 0 and ',' or ')' only inside a group
+        # edge left one (the leaf branch cannot match there) and closing a
+        # group that holds a child already, ';' only at depth 0 and ',' or
+        # ')' only inside a group
         if close:
-            if not closing or (sep == ";") != (len(groups) == 1):
-                _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
+            fits = closing and groups[-1] and (sep == ";") == (len(groups) == 1)
+        else:
+            fits = (sep == ";") == (not groups and not opens)
+        if not fits or (length == "inf" and not allow_infinite):
+            _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
+        if close:
             children = groups.pop()
             children.append(node)
-            if len(children) < 2:
-                raise NewickSyntaxError(
-                    "interior vertices need at least two children", m.start(3))
             node = -len(kids) - 1
             kids.append((node, tuple(children)))
         else:
-            if (sep == ";") != (not groups and not opens):
-                _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
             if opens:
                 groups += [[] for _ in range(opens.count("("))]
             node = (int(leaf) if len(leaf) <= most_digits
                     else _long_label(leaf, most_digits))
             leaves.append(node)
-        if length == "inf" and not allow_infinite:
-            raise NewickSyntaxError("'inf' lengths are not accepted here", m.start(4))
         lengths[node] = float(length)
         pos = m.end()
         if sep == ",":
@@ -124,11 +123,12 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
 
 def _diagnose(text: str, pos: int, closing: bool, groups: list[list[int]],
               allow_infinite: bool, most_digits: int) -> NoReturn:
-    """Raise the error of the edge at ``pos`` that ``_EDGE`` rejected.  The
-    token rules run from the edge's start, with the open groups as the
-    accepted text left them: tokens are the delimiters ( ) , : ; and the
-    stripped text between them, and the first token that does not fit
-    names the error and its position."""
+    """Raise the error of the edge at ``pos``, which ``_EDGE`` rejected or
+    which does not fit the text before it.  The token rules run from the
+    edge's start, with the open groups as the accepted text left them:
+    tokens are the delimiters ( ) , : ; and the stripped text between them,
+    and the first token that does not fit names the error and its
+    position."""
     state = "next" if closing else "subtree"
     while True:
         d = _DELIMITER.search(text, pos)
