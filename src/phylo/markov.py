@@ -361,33 +361,52 @@ def site_product(g: MarkovGenerator, sites: int) -> MarkovGenerator:
 # stochastic simulation along a tree
 # ---------------------------------------------------------------------------
 
-def _evolve(rng: np.random.Generator, H: np.ndarray, start: np.ndarray,
-            t: float) -> np.ndarray:
-    """Jump-chain simulation: exponential holding times at rate -H[x,x],
-    jump kernel proportional to the off-diagonal entries of column x."""
-    s = H.shape[0]
-    rates = -np.diag(H).copy()
-    cum = np.zeros((s, s))
-    for j in range(s):
-        if rates[j] > 0:
-            col = H[:, j].copy()
-            col[j] = 0.0
-            cum[j] = np.cumsum(col / rates[j])
+def _jump_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The holding rate -H[x, x] of every state x, and the cumulative jump
+    kernel stored transposed: table[k, x] is the probability that a jump
+    out of x lands in a state <= k, and column x is zero when x has rate 0."""
+    rates = -np.diag(H)
+    moving = rates > 0
+    kernel = np.zeros(H.shape)
+    kernel[:, moving] = H[:, moving] / rates[moving]
+    np.fill_diagonal(kernel, 0.0)
+    return rates, np.cumsum(kernel, axis=0)
+
+
+def _evolve(rng: np.random.Generator, rates: np.ndarray, table: np.ndarray,
+            start: np.ndarray, t: float) -> np.ndarray:
+    """Jump-chain simulation of every sample along an edge of length t: in
+    state x a sample holds for an exponential time at rate rates[x], then
+    jumps to the first state k with u < table[k, x] for a uniform u.
+
+    Only the samples still moving are kept, in ascending index order.  Each
+    round draws one holding time for each of them, then one uniform for
+    each still inside the edge, and drops those that left the edge or
+    reached a state of rate 0."""
     x = np.array(start, dtype=np.int64)
-    remaining = np.full(x.shape[0], float(t))
-    while True:
-        active = np.nonzero((remaining > 0) & (rates[x] > 0))[0]
-        if active.size == 0:
-            return x
-        dt = rng.exponential(1.0, size=active.size) / rates[x[active]]
-        rem = remaining[active] - dt
-        remaining[active] = rem
-        jump = active[rem > 0]
-        if jump.size:
-            u = rng.random(jump.size)
+    if not t > 0:
+        return x
+    s = table.shape[0]
+    absorbing = not (rates > 0).all()
+    idx = np.flatnonzero(rates[x] > 0) if absorbing else np.arange(x.size)
+    xs = x[idx]
+    rem = np.full(idx.size, float(t))
+    while idx.size:
+        rem -= rng.exponential(1.0, size=idx.size) / rates[xs]
+        inside = rem > 0
+        j = np.count_nonzero(inside)
+        if j < idx.size:
+            idx, rem, xs = idx[inside], rem[inside], xs[inside]
+        if j:
+            u = rng.random(j)
             # the first state whose cumulative jump probability exceeds u
-            targets = (cum[x[jump]] <= u[:, None]).sum(axis=1)
-            x[jump] = np.minimum(targets, s - 1)
+            targets = (np.take(table, xs, axis=1) <= u).sum(axis=0, dtype=np.int64)
+            xs = np.minimum(targets, s - 1)
+            x[idx] = xs
+            if absorbing:
+                moving = rates[xs] > 0
+                idx, rem, xs = idx[moving], rem[moving], xs[moving]
+    return x
 
 
 def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
@@ -414,6 +433,7 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
     if samples * rate * length > JUMP_CAP:
         raise SizeCap(f"{samples} samples x rate {rate:g} x length {length:g} "
                       f"exceed the cap of {JUMP_CAP} expected jumps")
+    rates, table = _jump_table(H)
     rng = np.random.default_rng(seed)
     cut = np.cumsum(root.p)
     start = np.searchsorted(cut, rng.random(samples), side="right")
@@ -424,7 +444,7 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
         # a vertex's state is dropped once its last child has used it
         last = p == 0 or tree.shape.child_map[p][-1] == u
         incoming = states.pop(p) if last else states[p]
-        states[u] = _evolve(rng, H, incoming, tree.length(u))
+        states[u] = _evolve(rng, rates, table, incoming, tree.length(u))
     flat = np.zeros(samples, dtype=np.int64)
     for j in range(1, tree.n + 1):
         flat = flat * s + states[j]

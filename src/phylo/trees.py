@@ -185,6 +185,9 @@ class PlanarTree:
         # every node has at most one parent here, so the walk terminates
         if len(self.preorder) != self.n + len(vertex_ids):
             raise UnreachableRoot("some node cannot reach the root")
+        # one tree, one value: the pairs in any order are stored sorted by
+        # vertex id, as _freeze leaves them
+        _set(self, "children", tuple(sorted(self.children)))
 
     # -- basic accessors -------------------------------------------------
 

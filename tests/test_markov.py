@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -328,6 +329,24 @@ class TestSimulate:
             [[18, 17, 6], [11, 15, 6], [4, 9, 2]],
             [[17, 17, 6], [35, 51, 21], [5, 16, 1]],
             [[10, 3, 2], [6, 9, 3], [5, 5, 0]]]
+
+    def test_counts_pinned_with_an_absorbing_state(self):
+        # state w is never left; every edge runs several jump rounds
+        g = validate_generator([[-2.0, 1.0, 0.5, 0.0], [1.0, -2.5, 1.0, 0.0],
+                                [0.5, 1.0, -2.0, 0.0], [0.5, 0.5, 0.5, 0.0]],
+                               ("a", "b", "c", "w"))
+        f = Distribution.make(g.states, [0.4, 0.3, 0.2, 0.1])
+        t = parse_newick(
+            "(((1:0.75,2:1.5):0.5,3:1.25):0.25,(4:2.0,5:0.625):1.0):0.5;")
+        counts = simulate_branching(t, g, f, seed=1313, samples=400)
+        assert counts.shape == (4,) * 5 and counts.dtype == np.int64
+        leaf_counts = [counts.sum(axis=tuple(a for a in range(5) if a != k)).tolist()
+                       for k in range(5)]
+        assert leaf_counts == [[49, 34, 50, 267], [25, 36, 27, 312],
+                               [48, 45, 43, 264], [21, 26, 23, 330],
+                               [47, 39, 49, 265]]
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == (
+            "69375a3a737052ad660998161ff8330cc968c16e9825b54032537bf6e85dff62")
 
 
 class TestStateSpace:

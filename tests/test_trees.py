@@ -85,6 +85,15 @@ class TestValidate:
         with pytest.raises(EmptyEdgeSet):
             validate(0, [], [], {}, {})
 
+    def test_pair_order_does_not_change_the_tree(self):
+        # one tree, its (vertex, children) pairs listed in both orders
+        a = PlanarTree(3, -1, ((-1, (1, -2)), (-2, (2, 3))))
+        b = PlanarTree(3, -1, ((-2, (2, 3)), (-1, (1, -2))))
+        assert a == b and hash(a) == hash(b)
+        assert a.children == b.children == ((-2, (2, 3)), (-1, (1, -2)))
+        assert a.vertices == b.vertices == (-2, -1)
+        assert a.permute_leaves((1, 2, 3)) == a
+
 
 # -- arity -------------------------------------------------------------------
 
