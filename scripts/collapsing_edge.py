@@ -21,8 +21,8 @@ def main() -> None:
                     default=[0.4, 0.2, 0.05])
     args = ap.parse_args()
 
-    cherry12 = frozenset({1, 2})
-    cherry34 = frozenset({3, 4})
+    cherry12 = 0b0011  # leaves 1 and 2: leaf i is bit i - 1
+    cherry34 = 0b1100
     limit = metric_tree(4, {cherry12: 1.0})
     sets = {
         r: BasicOpenSet(tree_from_clusters(4, [cherry12]),

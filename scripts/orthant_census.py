@@ -6,7 +6,12 @@ adjacency structure of the n = 4 link (15 quadrants over 10 rays,
 import argparse
 from itertools import combinations
 
-from phylo.treespace import compatible, enumerate_binary_topologies, enumerate_strata
+from phylo.treespace import (
+    compatible,
+    enumerate_binary_topologies,
+    enumerate_strata,
+    leaves,
+)
 
 
 def main() -> None:
@@ -21,12 +26,11 @@ def main() -> None:
 
     print()
     tops = enumerate_binary_topologies(4)
-    rays = sorted({c for o in tops for c in o.clusters},
-                  key=lambda c: tuple(sorted(c)))
+    rays = sorted({c for o in tops for c in o.clusters}, key=leaves)
     print(f"n = 4 link: {len(tops)} quadrant edges over {len(rays)} rays")
     for ray in rays:
         degree = sum(ray in o.clusters for o in tops)
-        print(f"  ray {set(sorted(ray))}: meets {degree} quadrants")
+        print(f"  ray {set(leaves(ray))}: meets {degree} quadrants")
     edges = sum(compatible(a, b) for a, b in combinations(rays, 2))
     print(f"  compatible ray pairs (= quadrants): {edges}")
 

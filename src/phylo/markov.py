@@ -299,20 +299,6 @@ def semigroup_defect(g: MarkovGenerator, s: float, t: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-@record
-class Semigroup:
-    """The one-parameter family t -> exp(tH) of a generator."""
-
-    generator: MarkovGenerator
-
-    def at(self, t: float) -> StochasticMatrix:
-        return expm(self.generator, t)
-
-    @property
-    def states(self) -> StateSpace:
-        return self.generator.states
-
-
 DNA = ("A", "T", "C", "G")
 
 
@@ -418,6 +404,8 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
     _check_same_states(g.states, root.states)
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise MarkovError(f"seed must be an int >= 0, got {seed!r}")
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
+        raise MarkovError(f"samples must be an int, got {samples!r}")
     if samples < 1:
         raise MarkovError("need at least one sample")
     if samples > TENSOR_CAP:

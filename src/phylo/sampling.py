@@ -7,7 +7,7 @@ import random
 
 from .operads import PhyloTree, WeightedTree
 from .trees import PlanarTree, _freeze
-from .treespace import MetricTree, metric_tree
+from .treespace import MetricTree, metric_tree, node_clusters
 
 
 def random_shape(rng: random.Random, n: int) -> PlanarTree:
@@ -65,7 +65,8 @@ def random_metric_on_grid(rng: random.Random, n: int, step: float,
                           ) -> MetricTree:
     """Metric tree whose internal lengths are positive multiples of ``step``."""
     t = random_phylo(rng, n, zero_external_prob=1.0)
-    fam = [t.shape.leaves_below(v) for v in t.shape.internal_edge_sources()]
+    mask = node_clusters(t.shape)
+    fam = [mask[v] for v in t.shape.internal_edge_sources()]
     if clusters is not None:
         fam = fam[:clusters]
     return metric_tree(n, {c: step * rng.randint(1, max_steps) for c in fam})

@@ -235,9 +235,6 @@ class PlanarTree:
     def internal_edge_sources(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if self.parent[v] < 0)
 
-    def leaves_below(self, u: int) -> frozenset[int]:
-        return frozenset(x for x in _preorder(u, self.child_map) if x > 0)
-
     def leaf_order(self) -> tuple[int, ...]:
         """Leaf labels in planar (left to right, depth first) order."""
         return tuple(u for u in self.preorder if u > 0)

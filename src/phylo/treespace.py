@@ -47,52 +47,83 @@ QUARTER_TURN = math.pi / 2  # link length of one orthant crossing
 
 
 # ---------------------------------------------------------------------------
-# clusters: internal edges named by the leaf set above them
+# clusters: internal edges named by the leaf set above them, as an int mask
+# with leaf i at bit i - 1
 # ---------------------------------------------------------------------------
 
-def cluster_lengths(t: PhyloTree) -> dict[frozenset[int], float]:
+def leaves(c: int) -> tuple[int, ...]:
+    """The leaf numbers of cluster ``c``, ascending.  Clusters are ordered
+    by this tuple, never by mask value: (1, 3) comes before (2,)."""
+    return tuple([i for i, bit in enumerate(bin(c)[:1:-1], 1) if bit == "1"])
+
+
+def node_clusters(shape: PlanarTree) -> dict[int, int]:
+    """The cluster of every node, in one pass over reversed preorder."""
+    kids = shape.child_map
+    mask: dict[int, int] = {}
+    for u in reversed(shape.preorder):  # the children's masks are disjoint
+        mask[u] = 1 << (u - 1) if u > 0 else sum(mask[c] for c in kids[u])
+    return mask
+
+
+def cluster_lengths(t: PhyloTree) -> dict[int, float]:
     """Internal edges of ``t`` as {leaf cluster: length}."""
-    return {t.shape.leaves_below(v): t.length(v)
-            for v in t.shape.internal_edge_sources()}
+    mask = node_clusters(t.shape)
+    return {mask[v]: t.length(v) for v in t.shape.internal_edge_sources()}
 
 
-def shape_clusters(shape: PlanarTree) -> frozenset[frozenset[int]]:
-    return frozenset(shape.leaves_below(v)
-                     for v in shape.internal_edge_sources())
+def shape_clusters(shape: PlanarTree) -> frozenset[int]:
+    mask = node_clusters(shape)
+    return frozenset(mask[v] for v in shape.internal_edge_sources())
 
 
-def compatible(a: frozenset[int], b: frozenset[int]) -> bool:
-    return a.isdisjoint(b) or a <= b or b <= a
+def compatible(a: int, b: int) -> bool:
+    return (a & b) in (0, a, b)
 
 
-def _nesting(clusters: list[frozenset[int]], top=None) -> dict | None:
-    """The cluster each leaf and each cluster sits directly inside (``top``
-    if none), in one pass over ``clusters`` listed largest first; None
-    when two clusters overlap without nesting."""
-    up: dict = {}
+def _nesting(clusters: list[int], top=None) -> dict[int, int] | None:
+    """The cluster each leaf bit and each cluster sits directly inside
+    (``top`` if none), in one pass over ``clusters`` listed smallest first;
+    None when two clusters overlap without nesting.  From its lowest leaf
+    not yet cleared, a cluster takes that leaf if uncovered, else the
+    largest cluster so far starting there, which must lie inside it."""
+    up: dict[int, int] = {}
+    tops: dict[int, int] = {}  # lowest leaf bit -> largest cluster there
+    covered = 0
     for c in clusters:
-        homes = {up.get(x, top) for x in c}
-        if len(homes) > 1:
-            return None
-        up[c] = homes.pop() if homes else top
-        up.update(dict.fromkeys(c, c))
+        rest = c
+        while rest:
+            low = rest & -rest
+            d = tops.pop(low, 0) if low & covered else low
+            if not d or d & ~c:
+                return None
+            up[d] = c
+            rest ^= d
+        tops[c & -c] = c
+        covered |= c
     return up
 
 
-def is_laminar(clusters: Iterable[frozenset[int]]) -> bool:
-    return _nesting(sorted(clusters, key=len, reverse=True)) is not None
+def is_laminar(clusters: Iterable[int]) -> bool:
+    # a set of at most one leaf nests with every set, and its mask would
+    # read as a leaf bit; a negative int is no leaf set
+    return _nesting(sorted((c for c in clusters if c & (c - 1) > 0),
+                           key=int.bit_count)) is not None
 
 
-def tree_from_clusters(n: int, clusters: Iterable[frozenset[int]]) -> PlanarTree:
+def tree_from_clusters(n: int, clusters: Iterable[int]) -> PlanarTree:
     """The shape with the given internal-edge clusters (a laminar family of
-    subsets of 1..n with 2 <= size <= n-1)."""
-    keys = {c: tuple(sorted(c)) for c in clusters}
-    cl = sorted(keys, key=lambda c: (-len(c), keys[c]))
-    full = frozenset(range(1, n + 1))
-    for c in cl:
-        if not 2 <= len(c) <= n - 1 or not c <= full:
-            raise TreeSpaceError(f"{sorted(c)} cannot be an internal edge cluster")
-    up = _nesting(cl, full)
+    leaf masks with 2 <= size <= n-1).  Vertex ids go to the root, then to
+    the clusters largest first; children are ordered by leaf tuple."""
+    clusters = list(clusters)
+    for c in clusters:
+        if not isinstance(c, int) or c < 0 or c >> n or not 2 <= c.bit_count() < n:
+            raise TreeSpaceError(f"{c!r} cannot be an internal edge cluster "
+                                 f"of {n} leaves")
+    keys = {c: leaves(c) for c in clusters}
+    cl = sorted(keys, key=lambda c: (-len(keys[c]), keys[c]))
+    full = (1 << n) - 1
+    up = _nesting(cl[::-1], full)
     if up is None:
         raise TreeSpaceError("clusters are not pairwise compatible")
     ids = {full: -1}
@@ -100,16 +131,16 @@ def tree_from_clusters(n: int, clusters: Iterable[frozenset[int]]) -> PlanarTree
         ids[c] = -(len(ids) + 1)
     kids: dict[int, list] = {v: [] for v in ids.values()}
     for c in cl:
-        kids[ids[up[c]]].append((keys[c], ids[c]))
+        kids[ids[up.get(c, full)]].append((keys[c], ids[c]))
     for leaf in range(1, n + 1):
-        kids[ids[up.get(leaf, full)]].append(((leaf,), leaf))
+        kids[ids[up.get(1 << (leaf - 1), full)]].append(((leaf,), leaf))
     return PlanarTree(n, -1, _freeze({v: [u for _, u in sorted(ks)]
                                       for v, ks in kids.items()}))
 
 
-def axis_order(clusters: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+def axis_order(clusters: Iterable[int]) -> tuple[int, ...]:
     """Deterministic coordinate order: lexicographically smallest leaf set first."""
-    return tuple(sorted(set(clusters), key=lambda c: tuple(sorted(c))))
+    return tuple(sorted(set(clusters), key=leaves))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +179,7 @@ class MetricTree:
         return self.tree.n
 
     @cached_property
-    def clusters(self) -> dict[frozenset[int], float]:
+    def clusters(self) -> dict[int, float]:
         return cluster_lengths(self.tree)
 
     @cached_property
@@ -163,13 +194,14 @@ def unit_metric_tree() -> MetricTree:
     return MetricTree(PhyloTree.make(unit_tree(), {1: 0.0}))
 
 
-def metric_tree(n: int, lengths: Mapping[frozenset[int], float]) -> MetricTree:
+def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
     """Metric tree from {cluster: positive length}."""
     shape = tree_from_clusters(n, lengths)
     lens = {u: 0.0 for u in shape.nodes}
-    by_cluster = {shape.leaves_below(v): v for v in shape.internal_edge_sources()}
+    mask = node_clusters(shape)
+    by_cluster = {mask[v]: v for v in shape.internal_edge_sources()}
     for c, x in lengths.items():
-        lens[by_cluster[frozenset(c)]] = float(x)
+        lens[by_cluster[c]] = float(x)
     return MetricTree(PhyloTree.make(shape, lens))
 
 
@@ -214,7 +246,7 @@ class Orthant:
     """The coordinate patch of one binary topology."""
 
     n: int
-    clusters: frozenset[frozenset[int]]
+    clusters: frozenset[int]
 
     def __post_init__(self) -> None:
         if len(self.clusters) != self.n - 2 or not is_laminar(self.clusters):
@@ -225,7 +257,7 @@ class Orthant:
         return len(self.clusters)
 
     @cached_property
-    def axes(self) -> tuple[frozenset[int], ...]:
+    def axes(self) -> tuple[int, ...]:
         return axis_order(self.clusters)
 
     @cached_property
@@ -239,7 +271,7 @@ class OrthantPosition:
     the containing orthant when binary, otherwise every adjacent binary
     orthant obtained by resolving its multifurcations."""
 
-    axes: tuple[frozenset[int], ...]
+    axes: tuple[int, ...]
     coords: tuple[float, ...]
     orthant: Orthant | None
     adjacent: tuple[Orthant, ...]
@@ -250,63 +282,38 @@ class OrthantPosition:
 
 
 def enumerate_binary_topologies(n: int) -> list[Orthant]:
-    """All rooted binary topologies on leaves 1..n, for 2 <= n <= 7."""
+    """All rooted binary topologies on leaves 1..n, for 2 <= n <= 7: the
+    resolutions of the star."""
     if not isinstance(n, int) or n < 2 or n > 7:
         raise ArityTooLarge("binary topology enumeration is capped at 2 <= n <= 7")
-    shapes = [PlanarTree(2, -1, ((-1, (1, 2)),))]
-    for k in range(3, n + 1):
-        grown: dict[str, PlanarTree] = {}
-        for s in shapes:
-            for u in s.nodes:
-                t = _insert_leaf(s, u, k)
-                grown.setdefault(t.canonical("unordered")[1], t)
-        shapes = list(grown.values())
-    return [Orthant(n, shape_clusters(s)) for s in shapes]
+    return binary_resolutions(n, frozenset())
 
 
-def _insert_leaf(shape: PlanarTree, u: int, new_leaf: int) -> PlanarTree:
-    w = min(shape.vertices, default=0) - 1
-    kids = {v: tuple(w if c == u else c for c in cs) for v, cs in shape.children}
-    kids[w] = (u, new_leaf)
-    root = w if shape.root == u else shape.root
-    return PlanarTree(shape.n + 1, root, _freeze(kids))
+def _binary_families(blocks: list[int]) -> list[list[int]]:
+    """The clusters, root included, of every rooted binary tree whose leaves
+    are the disjoint ``blocks``, each tree once (Felsenstein 1978): block k
+    goes above each of the 2k - 3 nodes (the earlier blocks and clusters)
+    of every tree on the earlier blocks, and each strict ancestor gains it."""
+    fams = [[blocks[0] | blocks[1]]]
+    for k, b in enumerate(blocks[2:], 2):
+        fams = [[d | b if d != c and d & c == c else d for d in fam] + [c | b]
+                for fam in fams for c in (*blocks[:k], *fam)]
+    return fams
 
 
-def binary_resolutions(n: int, clusters: frozenset[frozenset[int]]) -> list[Orthant]:
-    """All binary topologies refining the given cluster family."""
-    if len(clusters) == n - 2:
-        return [Orthant(n, clusters)]
-    out: dict[frozenset[frozenset[int]], Orthant] = {}
-    stack = [clusters]
-    seen = {clusters}
-    while stack:
-        fam = stack.pop()
-        if len(fam) == n - 2:
-            out.setdefault(fam, Orthant(n, fam))
-            continue
-        for c in _splitting_clusters(n, fam):
-            bigger = fam | {c}
-            if bigger not in seen:
-                seen.add(bigger)
-                stack.append(bigger)
-    return sorted(out.values(), key=lambda o: tuple(map(sorted, o.axes)))
-
-
-def _splitting_clusters(n: int, fam: frozenset[frozenset[int]]
-                        ) -> list[frozenset[int]]:
-    """Clusters that can be added to ``fam`` while staying laminar: proper
-    sub-blocks of one vertex's child blocks."""
-    shape = tree_from_clusters(n, fam)
-    found = []
-    for v in shape.vertices:
-        kids = shape.child_map[v]
-        if len(kids) <= 2:
-            continue
-        blocks = [shape.leaves_below(c) for c in kids]
-        for r in range(2, len(blocks)):
-            for combo in combinations(range(len(blocks)), r):
-                found.append(frozenset().union(*(blocks[b] for b in combo)))
-    return found
+def binary_resolutions(n: int, clusters: frozenset[int]) -> list[Orthant]:
+    """All binary topologies refining the given cluster family, ordered by
+    the leaf tuples of their axes: the product, over each vertex with more
+    than two children, of the binary trees on its child blocks."""
+    shape = tree_from_clusters(n, clusters)
+    mask = node_clusters(shape)
+    fams = [frozenset(clusters)]
+    for _, kids in shape.children:
+        if len(kids) > 2:
+            fams = [f.union(g) for f in fams
+                    for g in _binary_families([mask[c] for c in kids])]
+    tops = [Orthant(n, f - {mask[shape.root]}) for f in fams]
+    return sorted(tops, key=lambda o: sorted(map(leaves, o.clusters)))
 
 
 def orthant_of(m: MetricTree) -> OrthantPosition:
@@ -319,24 +326,21 @@ def orthant_of(m: MetricTree) -> OrthantPosition:
     return OrthantPosition(axes, coords, None, adjacent)
 
 
-def enumerate_strata(n: int) -> dict[int, list[frozenset[frozenset[int]]]]:
+def enumerate_strata(n: int) -> dict[int, list[frozenset[int]]]:
     """All topologies of metric n-trees, grouped by number of internal edges.
 
     Every stratum is a face of some maximal (binary) orthant, so the census
     walks subsets of the binary families.
     """
-    tops = enumerate_binary_topologies(n)
-    seen: set[frozenset[frozenset[int]]] = set()
-    for o in tops:
-        cl = sorted(o.clusters, key=lambda c: tuple(sorted(c)))
-        for r in range(len(cl) + 1):
-            for combo in combinations(cl, r):
-                seen.add(frozenset(combo))
-    out: dict[int, list[frozenset[frozenset[int]]]] = {}
+    seen: set[frozenset[int]] = set()
+    for o in enumerate_binary_topologies(n):
+        for r in range(len(o.clusters) + 1):
+            seen.update(map(frozenset, combinations(o.clusters, r)))
+    out: dict[int, list[frozenset[int]]] = {}
     for fam in seen:
         out.setdefault(len(fam), []).append(fam)
     for k in out:
-        out[k].sort(key=lambda f: tuple(sorted(tuple(sorted(c)) for c in f)))
+        out[k].sort(key=lambda f: sorted(map(leaves, f)))
     return out
 
 
@@ -354,7 +358,7 @@ def _common_orthant_distance(x: MetricTree, y: MetricTree) -> float | None:
                          for c in union))
 
 
-def _direction(m: MetricTree) -> dict[frozenset[int], float]:
+def _direction(m: MetricTree) -> dict[int, float]:
     """Link offsets: arc distance from the tree's direction point to each
     boundary ray of its stratum.  Requires 1 or 2 internal edges."""
     axes = axis_order(m.clusters)
@@ -368,10 +372,8 @@ def _direction(m: MetricTree) -> dict[frozenset[int], float]:
 def _link_distance(x: MetricTree, y: MetricTree) -> float:
     """Shortest arc length between the two direction points in the link
     graph (rays as vertices, one quarter-turn edge per orthant)."""
-    n = x.n
-    rays = [frozenset(c) for r in range(2, n)
-            for c in combinations(range(1, n + 1), r)]
-    adj: dict[frozenset[int], list[frozenset[int]]] = {c: [] for c in rays}
+    rays = [c for c in range(1 << x.n) if 2 <= c.bit_count() < x.n]
+    adj: dict[int, list[int]] = {c: [] for c in rays}
     for a, b in combinations(rays, 2):
         if compatible(a, b):
             adj[a].append(b)
@@ -380,19 +382,17 @@ def _link_distance(x: MetricTree, y: MetricTree) -> float:
     dst = _direction(y)
     best = math.inf
     dist = dict(src)
-    heap = [(d, tuple(sorted(c))) for c, d in src.items()]
-    by_key = {tuple(sorted(c)): c for c in rays}
+    heap = [(d, c) for c, d in src.items()]
     heapq.heapify(heap)
     while heap:
-        d, key = heapq.heappop(heap)
-        c = by_key[key]
+        d, c = heapq.heappop(heap)
         if d > dist.get(c, math.inf):
             continue
         for b in adj[c]:
             nd = d + QUARTER_TURN
             if nd < dist.get(b, math.inf):
                 dist[b] = nd
-                heapq.heappush(heap, (nd, tuple(sorted(b))))
+                heapq.heappush(heap, (nd, b))
     for c, off in dst.items():
         if c in dist:
             best = min(best, dist[c] + off)
@@ -418,7 +418,7 @@ def bhv_distance(x: MetricTree, y: MetricTree, mode: str = "auto") -> float:
     if mode == "cone":
         return min(common, through_cone) if common is not None else through_cone
     if mode != "exact4":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise TreeSpaceError(f"unknown mode {mode!r}")
     if x.n > 4:
         raise ExactUnsupported("exact geodesics are implemented for n <= 4 only")
     if common is not None:
@@ -477,7 +477,7 @@ class BasicOpenSet:
                 raise TreeSpaceError(f"expected {n - 2 - k} resolution radii")
 
     @cached_property
-    def axes(self) -> tuple[frozenset[int], ...]:
+    def axes(self) -> tuple[int, ...]:
         return axis_order(shape_clusters(self.base))
 
     def radius_for(self, slot: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from phylo.treespace import MetricTree, axis_order, enumerate_binary_topologies
+from phylo.treespace import MetricTree, axis_order, enumerate_binary_topologies, leaves
 
 
 def _directions(reach: int) -> list[tuple[int, int]]:
@@ -33,8 +33,7 @@ class GridComplex:
         self.quad_axes = [axis_order(o.clusters) for o in self.orthants]
         self.quad_index = {frozenset(o.clusters): q
                            for q, o in enumerate(self.orthants)}
-        rays = sorted({c for o in self.orthants for c in o.clusters},
-                      key=lambda c: tuple(sorted(c)))
+        rays = sorted({c for o in self.orthants for c in o.clusters}, key=leaves)
         self.ray_index = {c: r for r, c in enumerate(rays)}
         m = self.m
         self.n_nodes = 1 + len(rays) * m + len(self.orthants) * m * m

@@ -282,7 +282,9 @@ def test_c11_bhv_metric():
 
 @criterion("12 neighborhood and limit consistency", 5.0)
 def test_c12_collapsing_family():
-    fs = frozenset
+    def fs(xs):
+        return sum(1 << (x - 1) for x in xs)
+
     limit = metric_tree(4, {fs({1, 2}): 1.0})
     base = tree_from_clusters(4, [fs({1, 2})])
     rng = random.Random(1212)

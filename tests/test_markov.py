@@ -16,7 +16,6 @@ from phylo.markov import (
     NegativeOffDiagonal,
     NegativeTime,
     NonFiniteTime,
-    Semigroup,
     ShapeMismatch,
     SizeCap,
     StateSpace,
@@ -187,8 +186,7 @@ class TestSemigroup:
             assert semigroup_defect(g, s, t) < 1e-10
 
     def test_semigroup_type(self):
-        sg = Semigroup(FLIP)
-        assert np.array_equal(sg.at(0.0).M, np.eye(2))
+        assert np.array_equal(expm(FLIP, 0.0).M, np.eye(2))
 
 
 class TestLimitOperator:
@@ -311,6 +309,12 @@ class TestSimulate:
         with pytest.raises(SizeCap):
             simulate_branching(t, g, Distribution.uniform(g.states),
                                seed=0, samples=1)
+
+    @pytest.mark.parametrize("samples", [2.5, "3", None, True])
+    def test_non_int_samples_rejected(self, samples):
+        f = Distribution.uniform(FLIP.states)
+        with pytest.raises(MarkovError, match="samples must be an int"):
+            simulate_branching(unit_phylo(0.0), FLIP, f, seed=0, samples=samples)
 
     def test_state_space_mismatch(self):
         f = Distribution.uniform(StateSpace(("x", "y")))

@@ -8,7 +8,6 @@ from phylo.coalgebra import LeafTensor, evaluate
 from phylo.markov import (
     Distribution,
     MarkovGenerator,
-    Semigroup,
     StateSpace,
     StochasticMatrix,
     expm,
@@ -55,7 +54,6 @@ def _instances() -> dict[type, object]:
         g,
         expm(g, 0.5),
         f,
-        Semigroup(g),
         evaluate(tree, g, f),
     ]
     return {type(x): x for x in made}
@@ -64,8 +62,7 @@ def _instances() -> dict[type, object]:
 INSTANCES = _instances()
 CLASSES = [PlanarTree, Subtree, LabelledTree, Collection, WeightedTree, PhyloTree,
            ExternalLengths, MetricTree, Orthant, OrthantPosition, BasicOpenSet,
-           StateSpace, MarkovGenerator, StochasticMatrix, Distribution, Semigroup,
-           LeafTensor]
+           StateSpace, MarkovGenerator, StochasticMatrix, Distribution, LeafTensor]
 
 
 def test_every_value_class_has_an_instance():
