@@ -158,13 +158,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_recompose(args: argparse.Namespace) -> int:
     from . import treespace
     doc = _read_json(args.factors)
-    try:
-        metric = doc["metric"].strip()
-        ext = [float(x) for x in doc["external"]]
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("metric"), str)
+            and isinstance(doc.get("external"), list)):
         raise TreeError('factors JSON needs "metric" Newick text and an '
-                        f'"external" list of numbers: {exc}') from exc
-    m_tree = newick.parse_newick(metric)
+                        '"external" list of numbers')
+    ext = [_json_length(x) for x in doc["external"]]
+    m_tree = newick.parse_newick(doc["metric"].strip())
     if m_tree.n == 1:
         if len(ext) != 1:
             raise TreeError("a 1-leaf tree has exactly one external length")

@@ -74,15 +74,13 @@ class Operad:
                  compose: Callable[[Any, int, Any], Any],
                  identity: Any,
                  contains: Callable[[Any], bool],
-                 act: Callable[[Any, tuple[int, ...]], Any] | None = None,
-                 eq: Callable[[Any, Any], bool] | None = None):
+                 act: Callable[[Any, tuple[int, ...]], Any] | None = None):
         self.name = name
         self._arity = arity
         self._compose = compose
         self.identity = identity
         self.contains = contains
         self._act = act
-        self.eq = eq if eq is not None else lambda f, g: f == g
 
     def __repr__(self) -> str:
         return f"Operad({self.name})"
@@ -229,7 +227,7 @@ def counit_eval(operad: Operad, t: LabelledTree) -> Any:
 def counit_equivalent(operad: Operad, t1: LabelledTree, t2: LabelledTree) -> bool:
     if t1.n != t2.n:
         return False
-    return operad.eq(counit_eval(operad, t1), counit_eval(operad, t2))
+    return counit_eval(operad, t1) == counit_eval(operad, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +331,6 @@ def normal_form(w: WeightedTree) -> WeightedTree:
     return WeightedTree.make(shape, {u: lens[u] for u in shape.nodes}).canonical()[0]
 
 
-def is_reduced(w: WeightedTree) -> bool:
-    return not applicable_moves(w)
-
-
 # ---------------------------------------------------------------------------
 # phylogenetic trees
 # ---------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def unit_phylo(length: float = 0.0) -> PhyloTree:
 
 def to_phylo(w: WeightedTree) -> PhyloTree:
     """Read a reduced weighted tree as a phylogenetic tree."""
-    if not is_reduced(w):
+    if applicable_moves(w):
         raise NotReduced("tree still admits rewrite moves; call normal_form")
     return PhyloTree.make(w.shape, w.length_map)
 
@@ -520,12 +514,6 @@ class LawReport:
         return not self.failures
 
 
-def _random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    return tuple(perm)
-
-
 def operad_law_suite(operad: Operad,
                      sample: Callable[[random.Random], Any],
                      trials: int = 100,
@@ -535,6 +523,7 @@ def operad_law_suite(operad: Operad,
     ``sample`` draws a random operation of the instance.  Returns one report
     per law, with counterexamples (the offending operands) on failure.
     """
+    from .sampling import random_perm  # sampling imports this module
     rng = random.Random(seed)
     reports = {name: LawReport(name) for name in
                ("associativity", "left unit", "right unit",
@@ -552,7 +541,7 @@ def operad_law_suite(operad: Operad,
         # an exception while forming either side is itself a counterexample
         try:
             lhs, rhs = sides()
-            ok = operad.eq(lhs, rhs)
+            ok = lhs == rhs
         except Exception as exc:  # noqa: BLE001
             rep.failures.append(witness + (repr(exc),))
             return
@@ -564,8 +553,8 @@ def operad_law_suite(operad: Operad,
         m, n = operad.arity(f), operad.arity(g)
         i = rng.randint(1, m)
         j = rng.randint(1, n)
-        sigma = _random_perm(rng, m)
-        tau = _random_perm(rng, n)
+        sigma = random_perm(rng, m)
+        tau = random_perm(rng, n)
 
         rep = reports["associativity"]
         rep.checked += 1

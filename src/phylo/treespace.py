@@ -13,7 +13,6 @@ link graph.
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import cached_property
 from itertools import combinations
@@ -52,9 +51,18 @@ QUARTER_TURN = math.pi / 2  # link length of one orthant crossing
 # ---------------------------------------------------------------------------
 
 def leaves(c: int) -> tuple[int, ...]:
-    """The leaf numbers of cluster ``c``, ascending.  Clusters are ordered
-    by this tuple, never by mask value: (1, 3) comes before (2,)."""
+    """The leaf numbers of cluster ``c``, ascending."""
     return tuple([i for i, bit in enumerate(bin(c)[:1:-1], 1) if bit == "1"])
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def cluster_key(c: int) -> str:
+    """The sort key of cluster ``c``: its bits lowest leaf first, with 0 and
+    1 swapped, one character per leaf.  Keys order clusters as their leaf
+    tuples do, never by mask value: (1, 3) comes before (2,)."""
+    return bin(c)[:1:-1].translate(_FLIP) if c else ""
 
 
 def node_clusters(shape: PlanarTree) -> dict[int, int]:
@@ -81,12 +89,12 @@ def compatible(a: int, b: int) -> bool:
     return (a & b) in (0, a, b)
 
 
-def _nesting(clusters: list[int], top=None) -> dict[int, int] | None:
-    """The cluster each leaf bit and each cluster sits directly inside
-    (``top`` if none), in one pass over ``clusters`` listed smallest first;
-    None when two clusters overlap without nesting.  From its lowest leaf
-    not yet cleared, a cluster takes that leaf if uncovered, else the
-    largest cluster so far starting there, which must lie inside it."""
+def _nesting(clusters: list[int]) -> dict[int, int] | None:
+    """The cluster each leaf bit and each cluster sits directly inside, if
+    any, in one pass over distinct ``clusters`` listed smallest first; None
+    when two clusters overlap without nesting.  From its lowest leaf not yet
+    cleared, a cluster takes that leaf if uncovered, else the largest
+    cluster so far starting there, which must lie inside it."""
     up: dict[int, int] = {}
     tops: dict[int, int] = {}  # lowest leaf bit -> largest cluster there
     covered = 0
@@ -107,25 +115,35 @@ def _nesting(clusters: list[int], top=None) -> dict[int, int] | None:
 def is_laminar(clusters: Iterable[int]) -> bool:
     # a set of at most one leaf nests with every set, and its mask would
     # read as a leaf bit; a negative int is no leaf set
-    return _nesting(sorted((c for c in clusters if c & (c - 1) > 0),
+    return _nesting(sorted({c for c in clusters if c & (c - 1) > 0},
                            key=int.bit_count)) is not None
+
+
+def _cluster_nesting(n: int, clusters: Iterable[int]) -> dict[int, int]:
+    """The cluster rule: n >= 2, every cluster is a mask of 2..n-1 of the
+    leaves 1..n and the clusters nest.  Returns what each leaf bit and
+    cluster sits directly inside, if any."""
+    if not isinstance(n, int) or n < 2:
+        raise TreeSpaceError(f"tree space needs n >= 2 leaves, not {n!r}")
+    for c in clusters:
+        if not isinstance(c, int) or c < 0 or c >> n or not 2 <= c.bit_count() < n:
+            raise TreeSpaceError(f"{c!r} cannot be an internal edge cluster "
+                                 f"of {n} leaves")
+    up = _nesting(sorted(set(clusters), key=int.bit_count))
+    if up is None:
+        raise TreeSpaceError("clusters are not pairwise compatible")
+    return up
 
 
 def tree_from_clusters(n: int, clusters: Iterable[int]) -> PlanarTree:
     """The shape with the given internal-edge clusters (a laminar family of
     leaf masks with 2 <= size <= n-1).  Vertex ids go to the root, then to
-    the clusters largest first; children are ordered by leaf tuple."""
+    the clusters largest first; children are ordered by ``cluster_key``."""
     clusters = list(clusters)
-    for c in clusters:
-        if not isinstance(c, int) or c < 0 or c >> n or not 2 <= c.bit_count() < n:
-            raise TreeSpaceError(f"{c!r} cannot be an internal edge cluster "
-                                 f"of {n} leaves")
-    keys = {c: leaves(c) for c in clusters}
-    cl = sorted(keys, key=lambda c: (-len(keys[c]), keys[c]))
+    up = _cluster_nesting(n, clusters)
+    keys = {c: cluster_key(c) for c in clusters}
+    cl = sorted(keys, key=lambda c: (-c.bit_count(), keys[c]))
     full = (1 << n) - 1
-    up = _nesting(cl[::-1], full)
-    if up is None:
-        raise TreeSpaceError("clusters are not pairwise compatible")
     ids = {full: -1}
     for c in cl:
         ids[c] = -(len(ids) + 1)
@@ -133,14 +151,15 @@ def tree_from_clusters(n: int, clusters: Iterable[int]) -> PlanarTree:
     for c in cl:
         kids[ids[up.get(c, full)]].append((keys[c], ids[c]))
     for leaf in range(1, n + 1):
-        kids[ids[up.get(1 << (leaf - 1), full)]].append(((leaf,), leaf))
+        bit = 1 << (leaf - 1)
+        kids[ids[up.get(bit, full)]].append((cluster_key(bit), leaf))
     return PlanarTree(n, -1, _freeze({v: [u for _, u in sorted(ks)]
                                       for v, ks in kids.items()}))
 
 
 def axis_order(clusters: Iterable[int]) -> tuple[int, ...]:
     """Deterministic coordinate order: lexicographically smallest leaf set first."""
-    return tuple(sorted(set(clusters), key=leaves))
+    return tuple(sorted(set(clusters), key=cluster_key))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +268,9 @@ class Orthant:
     clusters: frozenset[int]
 
     def __post_init__(self) -> None:
-        if len(self.clusters) != self.n - 2 or not is_laminar(self.clusters):
+        if len(self.clusters) != self.n - 2:
             raise TreeSpaceError("not the cluster family of a binary topology")
+        _cluster_nesting(self.n, self.clusters)
 
     @property
     def dimension(self) -> int:
@@ -303,7 +323,7 @@ def _binary_families(blocks: list[int]) -> list[list[int]]:
 
 def binary_resolutions(n: int, clusters: frozenset[int]) -> list[Orthant]:
     """All binary topologies refining the given cluster family, ordered by
-    the leaf tuples of their axes: the product, over each vertex with more
+    the keys of their axes: the product, over each vertex with more
     than two children, of the binary trees on its child blocks."""
     shape = tree_from_clusters(n, clusters)
     mask = node_clusters(shape)
@@ -313,7 +333,7 @@ def binary_resolutions(n: int, clusters: frozenset[int]) -> list[Orthant]:
             fams = [f.union(g) for f in fams
                     for g in _binary_families([mask[c] for c in kids])]
     tops = [Orthant(n, f - {mask[shape.root]}) for f in fams]
-    return sorted(tops, key=lambda o: sorted(map(leaves, o.clusters)))
+    return sorted(tops, key=lambda o: sorted(map(cluster_key, o.clusters)))
 
 
 def orthant_of(m: MetricTree) -> OrthantPosition:
@@ -340,7 +360,7 @@ def enumerate_strata(n: int) -> dict[int, list[frozenset[int]]]:
     for fam in seen:
         out.setdefault(len(fam), []).append(fam)
     for k in out:
-        out[k].sort(key=lambda f: sorted(map(leaves, f)))
+        out[k].sort(key=lambda f: sorted(map(cluster_key, f)))
     return out
 
 
@@ -371,31 +391,24 @@ def _direction(m: MetricTree) -> dict[int, float]:
 
 def _link_distance(x: MetricTree, y: MetricTree) -> float:
     """Shortest arc length between the two direction points in the link
-    graph (rays as vertices, one quarter-turn edge per orthant)."""
-    rays = [c for c in range(1 << x.n) if 2 <= c.bit_count() < x.n]
-    adj: dict[int, list[int]] = {c: [] for c in rays}
-    for a, b in combinations(rays, 2):
-        if compatible(a, b):
-            adj[a].append(b)
-            adj[b].append(a)
-    src = _direction(x)
-    dst = _direction(y)
+    graph (rays as vertices, one quarter-turn edge per orthant), for
+    n <= 4.  Two distinct rays are one edge apart when compatible; when
+    not, two edges apart at n = 4 (the link is the Petersen graph) and
+    not joined at n = 3.  Each path is summed as a graph search sums it,
+    offset, then one quarter turn per edge, then offset, so the result is
+    bitwise that of the search."""
     best = math.inf
-    dist = dict(src)
-    heap = [(d, c) for c, d in src.items()]
-    heapq.heapify(heap)
-    while heap:
-        d, c = heapq.heappop(heap)
-        if d > dist.get(c, math.inf):
-            continue
-        for b in adj[c]:
-            nd = d + QUARTER_TURN
-            if nd < dist.get(b, math.inf):
-                dist[b] = nd
-                heapq.heappush(heap, (nd, b))
-    for c, off in dst.items():
-        if c in dist:
-            best = min(best, dist[c] + off)
+    for a, off in _direction(x).items():
+        for b, off_b in _direction(y).items():
+            if a == b:
+                d = off
+            elif compatible(a, b):
+                d = off + QUARTER_TURN
+            elif x.n == 4:
+                d = off + QUARTER_TURN + QUARTER_TURN
+            else:
+                continue
+            best = min(best, d + off_b)
     return best
 
 
@@ -447,14 +460,14 @@ class BasicOpenSet:
     Membership holds for trees of the base topology with internal lengths
     in the open boxes and external lengths in the (possibly 0-containing)
     external boxes, and for binary refinements of the base whose extra
-    edges are shorter than the resolution radii.  Intervals are open pairs
+    edges are shorter than the resolution radius.  Intervals are open pairs
     (lo, hi); use a negative lower bound to include length 0.
     """
 
     base: PlanarTree
     internal_windows: tuple[Interval, ...]
     external_windows: tuple[Interval, ...]
-    radii: tuple[float, ...] | float = 1.0
+    radii: float = 1.0
 
     def __post_init__(self) -> None:
         k = len(shape_clusters(self.base))
@@ -468,22 +481,12 @@ class BasicOpenSet:
         for lo, hi in (*self.internal_windows, *self.external_windows):
             if not lo < hi:
                 raise TreeSpaceError(f"window ({lo}, {hi}) has no interior")
-        radii = (self.radii,) if isinstance(self.radii, (int, float)) \
-            else self.radii
-        if any(r <= 0 for r in radii):
-            raise TreeSpaceError("resolution radii must be positive")
-        if not isinstance(self.radii, (int, float)):
-            if len(self.radii) != n - 2 - k:
-                raise TreeSpaceError(f"expected {n - 2 - k} resolution radii")
+        if not isinstance(self.radii, (int, float)) or not self.radii > 0:
+            raise TreeSpaceError("the resolution radius must be a positive number")
 
     @cached_property
     def axes(self) -> tuple[int, ...]:
         return axis_order(shape_clusters(self.base))
-
-    def radius_for(self, slot: int) -> float:
-        if isinstance(self.radii, (int, float)):
-            return float(self.radii)
-        return self.radii[slot]
 
 
 def neighborhood_contains(u: BasicOpenSet, z: PhyloTree) -> bool:
@@ -504,5 +507,4 @@ def neighborhood_contains(u: BasicOpenSet, z: PhyloTree) -> bool:
     if not all(_contains(u.internal_windows[i], z_cl[c])
                for i, c in enumerate(u.axes)):
         return False
-    extras = axis_order(frozenset(z_cl) - base_cl)
-    return all(0.0 < z_cl[c] < u.radius_for(i) for i, c in enumerate(extras))
+    return all(0.0 < z_cl[c] < u.radii for c in z_cl.keys() - base_cl)

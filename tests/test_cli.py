@@ -358,9 +358,20 @@ class TestMalformedModelInputs:
         model = write(tmp_path, "H.json", json.dumps(doc))
         assert exit_code("limit", "--model", model) == 1
 
-    def test_recompose_non_list_external_exit_one(self, tmp_path):
-        doc = {"metric": "(1:0,2:0):0;", "external": 5}
-        assert exit_code("recompose", write(tmp_path, "f.json", json.dumps(doc))) == 1
+    @pytest.mark.parametrize("doc", [
+        {"metric": "(1:0,2:0):0;", "external": 5},
+        {"metric": "(1:0,2:0):0;", "external": "123"},
+        {"metric": "(1:0,2:0):0;", "external": [True, "0.5", 1]},
+        {"metric": "(1:0,2:0):0;", "external": [0, 0.5, "1"]},
+        {"metric": "(1:0,2:0):0;", "external": {"0": 0, "1": 0, "2": 0}},
+        {"metric": "(1:0,2:0):0;", "external": [0, 0, 10 ** 400]},
+        {"metric": ["(1:0,2:0):0;"], "external": [0, 0, 0]},
+        [["metric", "(1:0,2:0):0;"], ["external", [0, 0, 0]]],
+    ], ids=["non-list", "string", "bool-and-string", "string-entry", "object",
+            "too-large", "non-string-metric", "non-object"])
+    def test_malformed_factors_exit_one(self, capsys, tmp_path, doc):
+        code, out, _ = run(capsys, "recompose", write(tmp_path, "f.json", json.dumps(doc)))
+        assert code == 1 and out == ""
 
     def test_simulate_size_cap_exit_one(self, capsys, tmp_path):
         model = write(tmp_path, "H.json", json.dumps({
@@ -603,5 +614,20 @@ def test_traced_benchmark_patches_existing_names():
     path = os.pathsep.join([str(SRC), str(SRC.parent / "perfbench")])
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["algebra", "likelihood"])
+def test_benchmark_warmup_ops_run_and_check(workload):
+    # the benchmark workloads call library names directly, so a deleted or
+    # renamed one must fail here and not only in a benchmark run
+    code = (f"import {workload}\n"
+            f"for op in {workload}.warmup_ops():\n"
+            "    op.check(op.run())\n")
+    path = os.pathsep.join([str(SRC), str(SRC.parent / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

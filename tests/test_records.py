@@ -116,7 +116,7 @@ def test_bad_calls_raise_type_error():
 def test_defaults_and_post_init():
     base, inner, outer = INSTANCES[BasicOpenSet].base, ((0.5, 2.0),), ((-1.0, 1.0),) * 4
     assert BasicOpenSet(base, inner, outer).radii == 1.0
-    assert BasicOpenSet(base, inner, outer, radii=()).radii == ()
+    assert BasicOpenSet(base, inner, outer, radii=0.5).radii == 0.5
     with pytest.raises(SourceNotBijective):
         PlanarTree(2, -1, ((-1, (1, 1)),))
     with pytest.raises(SourceNotBijective):

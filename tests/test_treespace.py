@@ -23,10 +23,12 @@ from phylo.treespace import (
     ExactUnsupported,
     ExternalLengths,
     MetricTree,
+    Orthant,
     TreeSpaceError,
     WrongArity,
     axis_order,
     bhv_distance,
+    cluster_key,
     cluster_lengths,
     compatible,
     decompose,
@@ -173,6 +175,8 @@ class TestClusters:
         assert leaves(fs(1, 4)) == (1, 4) and leaves(0) == ()
         assert fs(1, 4) > fs(2, 3)
         assert axis_order([fs(2, 3), fs(1, 4)]) == (fs(1, 4), fs(2, 3))
+        masks = range(1 << 9)
+        assert sorted(masks, key=cluster_key) == sorted(masks, key=leaves)
 
     def test_tree_from_clusters_inverts_shape_clusters(self):
         rng = random.Random(31)
@@ -190,6 +194,13 @@ class TestClusters:
     def test_bad_masks_rejected(self, bad):
         with pytest.raises(TreeSpaceError):
             tree_from_clusters(4, [fs(1, 2), bad])
+        with pytest.raises(TreeSpaceError):
+            Orthant(3, frozenset({bad}))
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2.0])
+    def test_bad_leaf_counts_rejected(self, n):
+        with pytest.raises(TreeSpaceError):
+            tree_from_clusters(n, [])
 
     def test_cone_distance_on_a_deep_caterpillar(self):
         # 2000 leaves; both trees have one topology, so the answer is the
@@ -208,6 +219,29 @@ class TestClusters:
         tracemalloc.start()
         try:
             assert bhv_distance(x, y, "cone") == math.sqrt(1998)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+    @pytest.mark.parametrize("op", ["orthant_of", "tree_from_clusters", "metric_tree"])
+    def test_cluster_order_on_a_deep_caterpillar(self, op):
+        # 2000 leaves, 1998 clusters, each sorted by its key.  Took 0.04 to
+        # 0.11 s and peaked at 4.7 to 8.0 MB on a 2-vCPU x86-64 host; leaf
+        # tuples as keys took about 0.4 s and peaked near 70 MB.
+        shape = caterpillar(1999)
+        tree = PhyloTree.make(shape, {
+            u: 1.0 if shape.is_internal_edge(u) else 0.0 for u in shape.nodes})
+        lengths = cluster_lengths(tree)
+        run = {"orthant_of": lambda: orthant_of(MetricTree(tree)),
+               "tree_from_clusters": lambda: tree_from_clusters(2000, lengths),
+               "metric_tree": lambda: metric_tree(2000, lengths)}[op]
+        t0 = time.perf_counter()
+        run()
+        assert time.perf_counter() - t0 < 1.0
+        tracemalloc.start()
+        try:
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -114,13 +114,27 @@ def test_orthant_positions_match():
         assert [as_family(o.clusters) for o in pos.adjacent] == list(adjacent)
 
 
+def _metric_pairs(rng, n, count):
+    """Pairs of random metric n-trees: free lengths, grid lengths on all or
+    some of the clusters, and one of each."""
+    draws = (lambda: random_metric(rng, n),
+             lambda: random_metric_on_grid(rng, n, 0.01, 60,
+                                           clusters=rng.randint(0, n)))
+    return [(rng.choice(draws)(), rng.choice(draws)()) for _ in range(count)]
+
+
 def test_c11_distances_bitwise_equal():
-    # the draws of test_c11_bhv_metric
+    # the draws of test_c11_bhv_metric, then more pairs at n = 2, 3 and 4
     rng = random.Random(1111)
     trees = [random_metric_on_grid(rng, 4, 0.01, 60) for _ in range(620)]
-    old = [ref.cluster_lengths(x.tree) for x in trees]
-    for x, xc in zip(trees, old):
+    pairs = list(zip(trees, trees[1:]))
+    for n in (2, 3, 4):
+        pairs += _metric_pairs(random.Random(1112 + n), n, 600)
+    linked = 0
+    for x, y in pairs:
+        xc, yc = ref.cluster_lengths(x.tree), ref.cluster_lengths(y.tree)
         assert cluster_lengths(x.tree) == {mask(c): v for c, v in xc.items()}
-    for x, y, xc, yc in zip(trees, trees[1:], old, old[1:]):
         for mode in ("exact4", "cone"):
-            assert bhv_distance(x, y, mode) == ref.bhv_distance(4, xc, yc, mode)
+            assert bhv_distance(x, y, mode) == ref.bhv_distance(x.n, xc, yc, mode)
+        linked += ref._common_orthant_distance(xc, yc) is None
+    assert linked > 300  # pairs whose geodesic crosses the link
