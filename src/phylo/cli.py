@@ -197,11 +197,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     g = markov.generator_from_json(_read_json(args.model))
     f = markov.distribution_from_json(_read_json(args.root))
     t = _load_tree(args.tree, allow_infinite=args.extended)
-    if args.extended:
-        lt = coalgebra.evaluate_extended(t, g, f)
-    else:
-        lt = coalgebra.evaluate(t, g, f)
-    _emit_json(coalgebra.tensor_to_json(lt))
+    # without --extended the parser has refused every infinite length
+    _emit_json(coalgebra.tensor_to_json(coalgebra.evaluate_extended(t, g, f)))
     return 0
 
 

@@ -10,7 +10,6 @@ projector, extending the action to trees with lengths in [0, inf].
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from .markov import (
     StateSpace,
     _check_same_states,
     _finite_array,
-    _json_fields,
     expm,
 )
-from .operads import PhyloTree
+from .operads import PhyloTree, _nonneg
 from .trees import PhyloError, record
 
 
@@ -190,14 +188,14 @@ def star(x: float, y: float) -> float:
 
 def to_unit(t: float) -> float:
     """Isomorphism ([0, inf], +) -> ([0, 1], star): t -> 1 - exp(-t)."""
-    if isinstance(t, (int, float)) and not math.isnan(t) and t >= 0:
+    if _nonneg(t, allow_inf=True):
         return 1.0 - math.exp(-t)
     raise DomainError(f"{t!r} is not a length in [0, inf]")
 
 
 def from_unit(u: float) -> float:
     """Inverse isomorphism: u -> -log(1 - u), sending 1 to inf."""
-    if isinstance(u, (int, float)) and 0 <= u <= 1:
+    if _nonneg(u, allow_inf=False) and u <= 1:
         if u == 1:
             return math.inf
         return -math.log1p(-u) + 0.0
@@ -214,7 +212,7 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
     at s = 0 the tree is unchanged, at s = 1 all external edges become
     infinite, so the image satisfies ``w_membership``.  Internal lengths
     never move."""
-    if not (isinstance(s, (int, float)) and 0 <= s <= 1):
+    if not (_nonneg(s, allow_inf=False) and s <= 1):
         raise ParameterOutOfRange(f"parameter {s!r} not in [0, 1]")
     if s == 0:
         return t
@@ -227,18 +225,10 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
 
 
 # ---------------------------------------------------------------------------
-# tensor JSON schema shared with the command line
+# the tensor JSON the command line prints
 # ---------------------------------------------------------------------------
 
 def tensor_to_json(lt: LeafTensor) -> dict:
     return {"states": list(lt.states.labels), "n": lt.n,
             "data": [float(x) for x in lt.flat]}
 
-
-def tensor_from_json(doc: Any) -> LeafTensor:
-    states, data = _json_fields(doc, "tensor", "data")
-    n = doc.get("n")
-    # 64 is the most axes a numpy array may have
-    if type(n) is not int or not 0 <= n <= 64:
-        raise CoalgebraError("tensor JSON needs an integer n in 0..64")
-    return LeafTensor.make(states, n, data)

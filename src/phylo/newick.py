@@ -189,8 +189,8 @@ def format_length(x: float) -> str:
 
 
 def serialize_newick(t: PhyloTree) -> str:
-    """Canonical Newick text: isomorphic trees serialize identically and the
-    output re-parses to an equal tree."""
+    """Canonical Newick text: trees of one isomorphism class serialize
+    identically and the output re-parses to an equal tree."""
 
     def render(node: int) -> str:
         tail = ":" + format_length(t.length(node))

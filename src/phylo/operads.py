@@ -106,12 +106,11 @@ class Operad:
 
 
 def _nonneg(t: Any, allow_inf: bool) -> bool:
-    if not isinstance(t, (int, float)):
+    """True when ``t`` is a length: an int or float but not a bool, at
+    least 0 (so not NaN), and finite unless ``allow_inf``."""
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
         return False
-    x = float(t)
-    if math.isnan(x) or x < 0:
-        return False
-    return allow_inf or math.isfinite(x)
+    return t >= 0 and (allow_inf or t != math.inf)
 
 
 COM = Operad(
@@ -119,7 +118,7 @@ COM = Operad(
     arity=lambda f: f,
     compose=lambda f, i, g: f + g - 1,
     identity=1,
-    contains=lambda f: isinstance(f, int) and f >= 1,
+    contains=lambda f: isinstance(f, int) and not isinstance(f, bool) and f >= 1,
 )
 
 COM_PLUS = Operad(
@@ -127,7 +126,7 @@ COM_PLUS = Operad(
     arity=lambda f: f,
     compose=lambda f, i, g: f + g - 1,
     identity=1,
-    contains=lambda f: isinstance(f, int) and f >= 0,
+    contains=lambda f: isinstance(f, int) and not isinstance(f, bool) and f >= 0,
 )
 
 # unary operations only: waiting times with composition given by addition
@@ -304,7 +303,7 @@ def apply_move(w: WeightedTree, move: tuple[str, int]) -> WeightedTree:
         return WeightedTree.make(PlanarTree(w.n, root, _freeze(kids)), lens)
     if kind == "zero":
         lens.pop(v)
-        return WeightedTree.make(w.shape.contract_edge(v), lens)
+        return WeightedTree.make(w.shape.contract_edges((v,)), lens)
     raise ValueError(f"unknown move {move!r}")
 
 
@@ -446,7 +445,7 @@ def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
     x = out[i]
     lens[x] = inner.root_length + outer.leaf_length(i)
     if x < 0 and shape.parent[x] < 0 and lens[x] == 0.0:
-        shape = shape.contract_edge(x)
+        shape = shape.contract_edges((x,))
         del lens[x]
     return PhyloTree.make(shape, lens,
                           extended=outer.is_extended or inner.is_extended)

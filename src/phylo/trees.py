@@ -9,17 +9,19 @@ vertices are negative ids, 0 is the root marker and never stored as a
 node.
 
 A planar tree additionally orders the children of every vertex.  The
-same concrete class carries both readings: compare planar-canonical
-forms for planar isomorphism, unordered-canonical forms for plain
-isomorphism of rooted trees.
+same concrete class carries both readings: compare the planar keys,
+``canonical("planar")[1]``, for planar isomorphism, the unordered keys,
+``canonical()[1]``, for plain isomorphism of rooted trees.
 
 Tree walks go through one iterative depth-first order,
 ``PlanarTree.preorder``, so no tree is too deep for the interpreter's
 stack.  ``PlanarTree.canonical`` is the one canonical encoder; edge
 lengths and vertex labels enter it as a node-label mapping and come back
-keyed by the representative's nodes.  ``PlanarTree.graft_renaming`` is
-where each node goes in a graft, ``LabelledTree.folded_labels`` the one
-label fold of a contraction.
+keyed by the representative's nodes.
+``PlanarTree.graft_renaming`` is where each node goes in a graft.
+``PlanarTree.contract_edges`` is the one contraction, of any set of
+internal edges, one edge included; ``LabelledTree.contract_edges`` adds
+``LabelledTree.folded_labels``, the one label fold of a contraction.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class PermutationSizeMismatch(TreeError):
 
 
 class NotInternalEdge(TreeError):
-    pass
-
-
-class InvalidSubtree(TreeError):
     pass
 
 
@@ -305,9 +303,6 @@ class PlanarTree:
                 kids[top[self.parent[u]]].append(u)
         return _derived(self.n, self.root, _freeze(kids))
 
-    def contract_edge(self, u: int) -> "PlanarTree":
-        return self.contract_edges((u,))
-
     def insert_vertex(self, u: int) -> "PlanarTree":
         """Subdivide the edge out of ``u`` with a fresh unary vertex."""
         w = min(self.vertices, default=0) - 1
@@ -326,13 +321,14 @@ class PlanarTree:
         """Canonical representative, its key string, and ``labels`` keyed
         by the representative's nodes.
 
-        Two trees are isomorphic as planar trees (mode="planar") or as plain
-        rooted trees (mode="unordered") exactly when their canonical keys
-        agree.  A leaf's key is "L" and its number (the number is left out
-        when ``leaf_labels`` is false), a vertex's key its children's keys
-        in parentheses, each prefixed by ``repr(labels[u]) + ":"`` for the
-        nodes in ``labels``.  Unordered mode sorts children by key text,
-        stably.  Vertices are renumbered -1, -2, ... in depth-first order.
+        Two trees are in one isomorphism class of planar trees
+        (mode="planar") or of plain rooted trees (mode="unordered") exactly
+        when their canonical keys agree.  A leaf's key is "L" and its number
+        (the number is left out when ``leaf_labels`` is false), a vertex's
+        key its children's keys in parentheses, each prefixed by
+        ``repr(labels[u]) + ":"`` for the nodes in ``labels``.  Unordered
+        mode sorts children by key text, stably.  Vertices are renumbered
+        -1, -2, ... in depth-first order.
         """
         if mode not in ("unordered", "planar"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -412,11 +408,6 @@ def _inverse_perm(sigma: Sequence[int], n: int) -> dict[int, int]:
         raise PermutationSizeMismatch(
             f"{sig} is not a permutation of 1..{n}")
     return {sig[j]: j + 1 for j in range(n)}
-
-
-def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
-    """(sigma tau)(k) = sigma(tau(k))."""
-    return tuple(sigma[t - 1] for t in tau)
 
 
 def invert_perm(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -526,15 +517,6 @@ def validate(n: int,
         raise UnreachableRoot(str(exc)) from exc
 
 
-def canonical_form(t: PlanarTree, mode: str = "unordered") -> tuple[PlanarTree, str]:
-    rep, key, _ = t.canonical(mode)
-    return rep, key
-
-
-def isomorphic(t1: PlanarTree, t2: PlanarTree, mode: str = "unordered") -> bool:
-    return canonical_form(t1, mode)[1] == canonical_form(t2, mode)[1]
-
-
 def corolla(n: int) -> PlanarTree:
     """The unique shape with one vertex and n leaf edges."""
     return PlanarTree(n, -1, ((-1, tuple(range(1, n + 1))),))
@@ -543,66 +525,6 @@ def corolla(n: int) -> PlanarTree:
 def unit_tree() -> PlanarTree:
     """The 1-leaf tree with no vertices at all."""
     return PlanarTree(1, 1, ())
-
-
-@record
-class Subtree:
-    """A connected piece of a host tree, determined by its vertex set.
-
-    The subtree owns every edge into or out of one of its vertices; the one
-    edge leaving the vertex set is its root edge, the sources outside the
-    vertex set form its leaf-like boundary ``in_set``.
-    """
-
-    host: PlanarTree
-    vs: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.vs:
-            if self.host.num_vertices:
-                raise InvalidSubtree("empty subtrees exist only in the bare tree")
-            return
-        unknown = self.vs - set(self.host.vertices)
-        if unknown:
-            raise InvalidSubtree(f"not vertices of the host: {sorted(unknown)}")
-        exits = [v for v in self.vs if self.host.parent[v] not in self.vs]
-        if len(exits) != 1:
-            raise InvalidSubtree(
-                f"{len(exits)} edges leave the vertex set; a subtree has exactly one")
-
-    @cached_property
-    def root_source(self) -> int:
-        """Source of the subtree's root edge."""
-        if not self.vs:
-            return self.host.root
-        (exit_v,) = [v for v in self.vs if self.host.parent[v] not in self.vs]
-        return exit_v
-
-    @property
-    def root_target(self) -> int:
-        """The host node playing the role of the subtree's root marker."""
-        return self.host.parent[self.root_source]
-
-    @cached_property
-    def edge_sources(self) -> frozenset[int]:
-        out = set(self.vs)
-        for v in self.vs:
-            out.update(self.host.child_map[v])
-        out.add(self.root_source)
-        return frozenset(out)
-
-    @cached_property
-    def in_set(self) -> frozenset[int]:
-        return self.edge_sources - self.vs
-
-    def internal_edge_sources(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vs if self.host.parent[v] in self.vs)
-
-
-def contract_subtree(t: PlanarTree, s: Subtree) -> PlanarTree:
-    if s.host is not t and s.host != t:
-        raise InvalidSubtree("subtree belongs to a different host")
-    return t.contract_edges(s.internal_edge_sources())
 
 
 @record
@@ -651,20 +573,6 @@ class LabelledTree:
         shape = self.shape.insert_vertex(u)
         labels = dict(self.vlabels)
         labels[shape.parent[u]] = label
-        return LabelledTree.make(shape, labels)
-
-    def contract_edge(self, u: int,
-                      compose: Callable[[Any, int, Any], Any]) -> "LabelledTree":
-        """Contract the internal edge out of ``u``; the merged vertex is
-        labelled compose(parent label, position of u, label of u)."""
-        p = self.shape.parent.get(u)
-        if u >= 0 or p is None or p >= 0:
-            raise NotInternalEdge(f"edge out of {u!r} is not internal")
-        pos = self.shape.child_map[p].index(u) + 1
-        labels = dict(self.vlabels)
-        merged = compose(labels.pop(p), pos, labels.pop(u))
-        shape = self.shape.contract_edge(u)
-        labels[p] = merged
         return LabelledTree.make(shape, labels)
 
     def folded_labels(self, gone: Iterable[int],

@@ -138,21 +138,22 @@ def _cluster_nesting(n: int, clusters: Iterable[int]) -> dict[int, int]:
 def tree_from_clusters(n: int, clusters: Iterable[int]) -> PlanarTree:
     """The shape with the given internal-edge clusters (a laminar family of
     leaf masks with 2 <= size <= n-1).  Vertex ids go to the root, then to
-    the clusters largest first; children are ordered by ``cluster_key``."""
+    the clusters largest first; children are ordered by their lowest leaf.
+    Equal-size clusters and siblings are disjoint, so the lowest leaf bit,
+    ``c & -c``, orders them as ``cluster_key`` does."""
     clusters = list(clusters)
     up = _cluster_nesting(n, clusters)
-    keys = {c: cluster_key(c) for c in clusters}
-    cl = sorted(keys, key=lambda c: (-c.bit_count(), keys[c]))
+    cl = sorted(set(clusters), key=lambda c: (-c.bit_count(), c & -c))
     full = (1 << n) - 1
     ids = {full: -1}
     for c in cl:
         ids[c] = -(len(ids) + 1)
     kids: dict[int, list] = {v: [] for v in ids.values()}
     for c in cl:
-        kids[ids[up.get(c, full)]].append((keys[c], ids[c]))
+        kids[ids[up.get(c, full)]].append((c & -c, ids[c]))
     for leaf in range(1, n + 1):
         bit = 1 << (leaf - 1)
-        kids[ids[up.get(bit, full)]].append((cluster_key(bit), leaf))
+        kids[ids[up.get(bit, full)]].append((bit, leaf))
     return PlanarTree(n, -1, _freeze({v: [u for _, u in sorted(ks)]
                                       for v, ks in kids.items()}))
 

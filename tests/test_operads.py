@@ -162,7 +162,7 @@ class TestFreeOperad:
                 rng.shuffle(order)
                 cur = lt
                 for u in order:
-                    cur = cur.contract_edge(u, PHYL.compose)
+                    cur = cur.contract_edges((u,), PHYL.compose)
                 assert counit_eval(PHYL, cur) == want
 
     def test_counit_matches_contracting_the_tree(self):
@@ -490,6 +490,23 @@ class TestCollections:
         assert col.member(3, 3) and not col.member(3, 2)
         assert not col.member(0, 0)
         assert collection_of(COM_PLUS).member(0, 0)
+
+    @pytest.mark.parametrize("operad", [COM, COM_PLUS, HALF_LINE, EXTENDED_HALF_LINE],
+                             ids=lambda o: o.name)
+    @pytest.mark.parametrize("x", [True, False])
+    def test_a_bool_is_no_operation(self, operad, x):
+        assert not operad.contains(x)
+        assert not collection_of(operad).member(x, int(x))
+
+    @pytest.mark.parametrize("x, finite, extended", [
+        (0, True, True), (2.5, True, True),
+        pytest.param(10 ** 400, True, True, id="huge-int"),
+        (math.inf, False, True), (-0.5, False, False), (math.nan, False, False),
+        (-math.inf, False, False), ("1", False, False), (None, False, False),
+    ])
+    def test_half_line_lengths(self, x, finite, extended):
+        assert HALF_LINE.contains(x) is finite
+        assert EXTENDED_HALF_LINE.contains(x) is extended
 
     def test_equality_is_an_equivalence_on_samples(self):
         rng = random.Random(67)

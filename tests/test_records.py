@@ -15,7 +15,7 @@ from phylo.markov import (
 )
 from phylo.newick import parse_newick
 from phylo.operads import Collection, PhyloTree, WeightedTree
-from phylo.trees import LabelledTree, PlanarTree, SourceNotBijective, Subtree, corolla
+from phylo.trees import LabelledTree, PlanarTree, SourceNotBijective, corolla
 from phylo.treespace import (
     BasicOpenSet,
     ExternalLengths,
@@ -40,7 +40,6 @@ def _instances() -> dict[type, object]:
     f = Distribution.uniform(states)
     made = [
         corolla(3),
-        Subtree(corolla(3), frozenset({-1})),
         LabelledTree.make(corolla(2), {-1: "f"}),
         Collection("all", _any_label),
         WeightedTree.make(corolla(2), {1: 0.5, 2: 0.25, -1: 0.0}),
@@ -60,7 +59,7 @@ def _instances() -> dict[type, object]:
 
 
 INSTANCES = _instances()
-CLASSES = [PlanarTree, Subtree, LabelledTree, Collection, WeightedTree, PhyloTree,
+CLASSES = [PlanarTree, LabelledTree, Collection, WeightedTree, PhyloTree,
            ExternalLengths, MetricTree, Orthant, OrthantPosition, BasicOpenSet,
            StateSpace, MarkovGenerator, StochasticMatrix, Distribution, LeafTensor]
 

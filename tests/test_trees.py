@@ -20,17 +20,11 @@ from phylo.trees import (
     PermutationSizeMismatch,
     PlanarTree,
     SourceNotBijective,
-    Subtree,
-    InvalidSubtree,
     UnknownVertex,
     UnreachableRoot,
     _freeze,
-    canonical_form,
-    compose_perms,
-    contract_subtree,
     corolla,
     invert_perm,
-    isomorphic,
     make_tree,
     unit_tree,
     validate,
@@ -128,22 +122,23 @@ class TestGraft:
         assert r.n == 3
         assert r.leaf_order() == (3, 1, 2)
         expected = make_tree(3, "f", {"f": [3, "g"], "g": [1, 2]})
-        assert isomorphic(r, expected, "planar")
+        assert r.canonical("planar")[1] == expected.canonical("planar")[1]
 
     def test_graft_at_second_label(self):
         f = make_tree(2, "v", {"v": [2, 1]})
         r = f.graft(2, corolla(2))
         assert r.leaf_order() == (2, 3, 1)
         expected = make_tree(3, "f", {"f": ["g", 1], "g": [2, 3]})
-        assert isomorphic(r, expected, "planar")
+        assert r.canonical("planar")[1] == expected.canonical("planar")[1]
 
     def test_unit_laws(self):
         rng = random.Random(7)
         for _ in range(25):
             t = random_shape(rng, rng.randint(1, 6))
             i = rng.randint(1, t.n)
-            assert isomorphic(t.graft(i, unit_tree()), t, "planar")
-            assert isomorphic(unit_tree().graft(1, t), t, "planar")
+            key = t.canonical("planar")[1]
+            assert t.graft(i, unit_tree()).canonical("planar")[1] == key
+            assert unit_tree().graft(1, t).canonical("planar")[1] == key
 
     @given(seeds(), seeds())
     def test_leaf_count_arithmetic(self, s1, s2):
@@ -173,7 +168,7 @@ class TestGraft:
             j = rng.randint(1, b.n)
             lhs = a.graft(i, b).graft(i - 1 + j, c)
             rhs = a.graft(i, b.graft(j, c))
-            assert isomorphic(lhs, rhs, "planar")
+            assert lhs.canonical("planar")[1] == rhs.canonical("planar")[1]
 
     def test_renaming_agrees_with_graft(self):
         rng = random.Random(19)
@@ -219,8 +214,9 @@ class TestPermuteLeaves:
         rng = random.Random(seed)
         t = random_shape(rng, rng.randint(1, 6))
         sigma, tau = random_perm(rng, t.n), random_perm(rng, t.n)
+        sigma_tau = tuple(sigma[k - 1] for k in tau)  # k -> sigma(tau(k))
         assert (t.permute_leaves(sigma).permute_leaves(tau)
-                == t.permute_leaves(compose_perms(sigma, tau)))
+                == t.permute_leaves(sigma_tau))
 
     def test_size_mismatch(self):
         with pytest.raises(PermutationSizeMismatch):
@@ -238,17 +234,17 @@ class TestContractEdge:
         s_id = [v for v in t.vertices if t.child_map[v] and
                 all(c < 0 or c == 1 for c in t.child_map[v]) and t.arity(v) == 2
                 and any(c < 0 and t.arity(c) == 0 for c in t.child_map[v])][0]
-        r = t.contract_edge(s_id)
+        r = t.contract_edges((s_id,))
         expected = make_tree(4, "B", {"B": [4, "X", 2], "X": [3, "T", 1],
                                       "T": []})
-        assert isomorphic(r, expected, "planar")
+        assert r.canonical("planar")[1] == expected.canonical("planar")[1]
 
     def test_binary_three_tree_contracts_to_corolla(self):
         t = make_tree(3, "a", {"a": [1, "b"], "b": [2, 3]})
         (e,) = t.internal_edge_sources()
-        got = t.contract_edge(e)
+        got = t.contract_edges((e,))
         assert brute_force_isomorphic(got, corolla(3))
-        assert isomorphic(got, corolla(3))
+        assert got.canonical()[1] == corolla(3).canonical()[1]
 
     def test_arity_bookkeeping_random(self):
         rng = random.Random(3)
@@ -260,21 +256,24 @@ class TestContractEdge:
                 continue
             u = rng.choice(internals)
             k1, k2 = t.arity(t.parent[u]), t.arity(u)
-            merged = t.contract_edge(u)
+            merged = t.contract_edges((u,))
             # the surviving vertex keeps the parent's id
             assert merged.arity(t.parent[u]) == k1 + k2 - 1
             done += 1
 
     def test_leaf_edge_rejected(self):
         with pytest.raises(NotInternalEdge):
-            corolla(2).contract_edge(1)
+            corolla(2).contract_edges((1,))
 
     def test_root_edge_rejected(self):
         with pytest.raises(NotInternalEdge):
-            corolla(2).contract_edge(-1)
+            corolla(2).contract_edges((-1,))
 
 
 class TestSubtree:
+    """Contracting a subtree, a connected set of vertices: one
+    ``contract_edges`` call on the internal edges among them."""
+
     def host(self):
         # root vertex f with children (g, h); h has children (k, 4, 3); g (2, 1)
         return make_tree(4, "f", {"f": ["g", "h"], "g": [2, 1],
@@ -287,18 +286,17 @@ class TestSubtree:
         return f, g, h, k
 
     def test_no_internal_edges_is_identity(self):
+        # the one-vertex subtree {g} has no internal edge to contract
         t = self.host()
-        _, g, _, _ = self.ids(t)
-        s = Subtree(t, frozenset({g}))
-        assert contract_subtree(t, s) == t
+        assert t.contract_edges(()) == t
 
     def test_labelled_green_ellipse_contraction(self):
+        # the subtree {f, h, k} has the internal edges out of h and k
         t = self.host()
         f, g, h, k = self.ids(t)
         lab = LabelledTree.make(t, {f: formal_op("f", 2), g: formal_op("g", 2),
                                     h: formal_op("h", 3), k: formal_op("k", 0)})
-        s = Subtree(t, frozenset({f, h, k}))
-        out = lab.contract_edges(s.internal_edge_sources(), FORMAL.compose)
+        out = lab.contract_edges((h, k), FORMAL.compose)
         assert out.shape.num_vertices == 2
         merged = out.label(out.shape.root)
         assert merged == ("comp", formal_op("f", 2), 2,
@@ -314,6 +312,22 @@ class TestSubtree:
         assert out.label(out.shape.root) == (
             "comp", ("comp", ops[f], 2, ops[h]), 1, ops[g])
 
+    def test_labelled_single_edge_merges_into_the_parent(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            t = random_shape(rng, rng.randint(2, 7))
+            lab = LabelledTree.make(
+                t, {v: formal_op(f"f{-v}", t.arity(v)) for v in t.vertices})
+            for u in t.internal_edge_sources():
+                p = t.parent[u]
+                out = lab.contract_edges((u,), FORMAL.compose)
+                assert out.shape == t.contract_edges((u,))
+                assert out.label(p) == ("comp", lab.label(p),
+                                        t.child_map[p].index(u) + 1, lab.label(u))
+            for u in (0, -99) + tuple(range(1, t.n + 1)) + (t.root,):
+                with pytest.raises(NotInternalEdge):
+                    lab.contract_edges((u,), FORMAL.compose)
+
     def test_contraction_order_independent(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -321,26 +335,13 @@ class TestSubtree:
             internals = list(t.internal_edge_sources())
             if len(internals) < 2:
                 continue
-            keys = set()
+            keys = {t.contract_edges(internals).canonical("planar")[1]}
             for order in permutations(internals):
                 cur = t
                 for u in order:
-                    cur = cur.contract_edge(u)
-                keys.add(canonical_form(cur, "planar")[1])
+                    cur = cur.contract_edges((u,))
+                keys.add(cur.canonical("planar")[1])
             assert len(keys) == 1
-
-    def test_disconnected_vertex_set_rejected(self):
-        t = self.host()
-        f, g, h, k = self.ids(t)
-        with pytest.raises(InvalidSubtree):
-            Subtree(t, frozenset({g, k}))
-
-    def test_subtree_boundary(self):
-        t = self.host()
-        f, g, h, k = self.ids(t)
-        s = Subtree(t, frozenset({h, k}))
-        assert s.root_source == h and s.root_target == f
-        assert s.in_set == frozenset({3, 4})
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -350,13 +351,13 @@ class TestCanonicalForm:
         # same tree drawn twice: planar order and the labels of two leaves swapped
         a = make_tree(5, "a", {"a": [3, 1, "w"], "w": [4, 5, 2]})
         b = make_tree(5, "b", {"b": [1, 3, "w"], "w": [4, 5, 2]})
-        assert canonical_form(a, "unordered")[1] == canonical_form(b, "unordered")[1]
+        assert a.canonical("unordered")[1] == b.canonical("unordered")[1]
 
     def test_planar_vs_unordered_three_trees(self):
         a = make_tree(3, "v", {"v": [1, "w"], "w": [2, 3]})
         b = make_tree(3, "v", {"v": [1, "w"], "w": [3, 2]})
-        assert canonical_form(a)[1] == canonical_form(b)[1]
-        assert canonical_form(a, "planar")[1] != canonical_form(b, "planar")[1]
+        assert a.canonical()[1] == b.canonical()[1]
+        assert a.canonical("planar")[1] != b.canonical("planar")[1]
 
     @given(seeds())
     def test_shuffled_ids_invariance(self, seed):
@@ -367,23 +368,24 @@ class TestCanonicalForm:
             t.n, relabel.get(t.root, t.root),
             {relabel[v]: [relabel.get(c, c) for c in cs]
              for v, cs in t.children})
-        assert canonical_form(t, "planar")[1] == canonical_form(shuffled, "planar")[1]
-        assert canonical_form(t)[1] == canonical_form(shuffled)[1]
+        assert t.canonical("planar")[1] == shuffled.canonical("planar")[1]
+        assert t.canonical()[1] == shuffled.canonical()[1]
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(13)
         trees = [random_shape(rng, rng.randint(2, 4)) for _ in range(40)]
         for a in trees[:20]:
             for b in trees[20:]:
-                assert isomorphic(a, b) == brute_force_isomorphic(a, b)
-                assert (isomorphic(a, b, "planar")
+                assert ((a.canonical()[1] == b.canonical()[1])
+                        == brute_force_isomorphic(a, b))
+                assert ((a.canonical("planar")[1] == b.canonical("planar")[1])
                         == brute_force_isomorphic(a, b, planar=True))
 
     def test_canonical_rep_is_isomorphic_to_input(self):
         rng = random.Random(17)
         for _ in range(20):
             t = random_shape(rng, rng.randint(1, 6))
-            rep, _ = canonical_form(t)
+            rep, _, _ = t.canonical()
             assert brute_force_isomorphic(rep, t)
 
 
