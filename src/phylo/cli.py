@@ -52,18 +52,9 @@ def _emit_json(doc: Any) -> None:
     print(json.dumps(doc))
 
 
-def _json_length(x: Any) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise MalformedLabelling(f"length {x!r} is not a number")
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise MalformedLabelling(f"length {x!r} is too large") from exc
-
-
 def _weighted_from_json(doc: Any) -> WeightedTree:
     kids: dict[int, list[int]] = {}
-    lengths: dict[int, float] = {}
+    lengths: dict[int, Any] = {}
     leaves: list[int] = []
     root = 0
     stack = [(doc, 0)]  # (node, id of the vertex it hangs from; 0 at the root)
@@ -82,7 +73,7 @@ def _weighted_from_json(doc: Any) -> WeightedTree:
             stack.extend((c, u) for c in reversed(node["children"]))
         else:
             raise MalformedLabelling("each node needs 'leaf' or a list of 'children'")
-        lengths[u] = _json_length(node["length"])
+        lengths[u] = node["length"]
         if parent:
             kids[parent].append(u)
         else:
@@ -162,7 +153,7 @@ def _cmd_recompose(args: argparse.Namespace) -> int:
             and isinstance(doc.get("external"), list)):
         raise TreeError('factors JSON needs "metric" Newick text and an '
                         '"external" list of numbers')
-    ext = [_json_length(x) for x in doc["external"]]
+    ext = doc["external"]
     m_tree = newick.parse_newick(doc["metric"].strip())
     if m_tree.n == 1:
         if len(ext) != 1:

@@ -25,7 +25,7 @@ from .markov import (
     _finite_array,
     expm,
 )
-from .operads import PhyloTree, _nonneg
+from .operads import PhyloTree, _length
 from .trees import PhyloError, record
 
 
@@ -188,17 +188,17 @@ def star(x: float, y: float) -> float:
 
 def to_unit(t: float) -> float:
     """Isomorphism ([0, inf], +) -> ([0, 1], star): t -> 1 - exp(-t)."""
-    if _nonneg(t, allow_inf=True):
-        return 1.0 - math.exp(-t)
+    x = _length(t, allow_inf=True)
+    if x is not None:
+        return 1.0 - math.exp(-x)
     raise DomainError(f"{t!r} is not a length in [0, inf]")
 
 
 def from_unit(u: float) -> float:
     """Inverse isomorphism: u -> -log(1 - u), sending 1 to inf."""
-    if _nonneg(u, allow_inf=False) and u <= 1:
-        if u == 1:
-            return math.inf
-        return -math.log1p(-u) + 0.0
+    x = _length(u, allow_inf=False)
+    if x is not None and x <= 1:
+        return math.inf if x == 1 else -math.log1p(-x) + 0.0
     raise DomainError(f"{u!r} is not in [0, 1]")
 
 
@@ -212,15 +212,16 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
     at s = 0 the tree is unchanged, at s = 1 all external edges become
     infinite, so the image satisfies ``w_membership``.  Internal lengths
     never move."""
-    if not (_nonneg(s, allow_inf=False) and s <= 1):
+    r = _length(s, allow_inf=False)
+    if r is None or r > 1:
         raise ParameterOutOfRange(f"parameter {s!r} not in [0, 1]")
-    if s == 0:
+    if r == 0:
         return t
     new: dict[int, float] = {}
     for j in range(1, t.n + 1):
-        new[j] = from_unit((1.0 - s) * to_unit(t.leaf_length(j)) + s)
+        new[j] = from_unit((1.0 - r) * to_unit(t.leaf_length(j)) + r)
     root = t.shape.root
-    new[root] = from_unit((1.0 - s) * to_unit(t.root_length) + s)
+    new[root] = from_unit((1.0 - r) * to_unit(t.root_length) + r)
     return t.with_lengths(new)
 
 

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .operads import PhyloTree
+from .operads import PhyloTree, _length
 from .trees import PhyloError, record
 
 COLUMN_SUM_TOL = 1e-10
@@ -268,12 +268,12 @@ def _expm_core(A: np.ndarray) -> np.ndarray:
 
 def expm(g: MarkovGenerator, t: float) -> StochasticMatrix:
     """The transition matrix exp(tH) for a finite time t >= 0."""
-    t = float(t)
-    if math.isnan(t) or math.isinf(t):
+    x = _length(t, allow_inf=True)
+    if x is None:
+        raise NegativeTime(f"time {t!r} is not a number >= 0")
+    if x == math.inf:
         raise NonFiniteTime("use limit_operator for the infinite-time matrix")
-    if t < 0:
-        raise NegativeTime(f"time {t} < 0")
-    return StochasticMatrix.make(g.states, _expm_core(t * g.H))
+    return StochasticMatrix.make(g.states, _expm_core(x * g.H))
 
 
 def limit_operator(g: MarkovGenerator) -> StochasticMatrix:
@@ -304,15 +304,16 @@ DNA = ("A", "T", "C", "G")
 
 def jukes_cantor(mu: float, k: int = 4) -> MarkovGenerator:
     """Uniform substitution rates: every state flips to every other at rate mu."""
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0):
+    rate = _length(mu, allow_inf=False)
+    if not rate:  # None or 0
         raise BadRate(f"rate must be finite and positive, got {mu!r}")
     if not (isinstance(k, int) and k >= 2):
         raise BadAlphabet(f"alphabet size must be an int >= 2, got {k!r}")
     if k * k > TENSOR_CAP:
         raise SizeCap(f"{k}x{k} generator entries exceed the cap {TENSOR_CAP}")
     labels = DNA if k == 4 else tuple(f"S{i}" for i in range(k))
-    H = np.full((k, k), float(mu))
-    np.fill_diagonal(H, -(k - 1) * float(mu))
+    H = np.full((k, k), rate)
+    np.fill_diagonal(H, -(k - 1) * rate)
     return validate_generator(H, labels)
 
 
@@ -320,7 +321,7 @@ def site_product(g: MarkovGenerator, sites: int) -> MarkovGenerator:
     """Independent sites evolving in parallel: the Kronecker-sum generator
     on the product state space, so exp(tH_N) factors as the N-fold tensor
     power of exp(tH)."""
-    if not (isinstance(sites, int) and sites >= 1):
+    if isinstance(sites, bool) or not (isinstance(sites, int) and sites >= 1):
         raise MarkovError(f"site count must be an int >= 1, got {sites!r}")
     s = g.size
     if s ** sites > 64:
@@ -402,7 +403,7 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
     length, copy the state to every child at each vertex.  Deterministic
     for a fixed seed.  Returns an integer array of shape (size,) * n."""
     _check_same_states(g.states, root.states)
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise MarkovError(f"seed must be an int >= 0, got {seed!r}")
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
         raise MarkovError(f"samples must be an int, got {samples!r}")

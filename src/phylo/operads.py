@@ -14,7 +14,9 @@ vertices with fewer than two children).  This module provides:
 * ``normal_form``, which takes any mixed vertex/edge-labelled tree to its
   unique reduced form in one pass; the single moves (``applicable_moves``,
   ``apply_move``) are the reference rewrite system it is checked against,
-* the bijection between normal forms and ``PhyloTree`` values.
+* the bijection between normal forms and ``PhyloTree`` values,
+* ``_length``, the one rule for what a length is, which every reader of a
+  length, time, rate or radius in the library calls.
 """
 
 from __future__ import annotations
@@ -105,12 +107,18 @@ class Operad:
         return self._act(f, sigma)
 
 
-def _nonneg(t: Any, allow_inf: bool) -> bool:
-    """True when ``t`` is a length: an int or float but not a bool, at
-    least 0 (so not NaN), and finite unless ``allow_inf``."""
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        return False
-    return t >= 0 and (allow_inf or t != math.inf)
+def _length(x: Any, allow_inf: bool) -> float | None:
+    """The one length rule: the float of ``x`` (-0.0 read as 0.0) when ``x``
+    is an int or float but not a bool, inside the float range, at least 0
+    (so not NaN), and finite unless ``allow_inf``; otherwise None."""
+    if isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool):
+        try:
+            x = float(x) + 0.0
+        except OverflowError:  # an int beyond the float range
+            return None
+        if x >= 0 and (allow_inf or x != math.inf):
+            return x
+    return None
 
 
 COM = Operad(
@@ -135,7 +143,7 @@ HALF_LINE = Operad(
     arity=lambda f: 1,
     compose=lambda f, i, g: f + g,
     identity=0.0,
-    contains=lambda f: _nonneg(f, allow_inf=False),
+    contains=lambda f: _length(f, allow_inf=False) is not None,
 )
 
 EXTENDED_HALF_LINE = Operad(
@@ -143,7 +151,7 @@ EXTENDED_HALF_LINE = Operad(
     arity=lambda f: 1,
     compose=lambda f, i, g: f + g,
     identity=0.0,
-    contains=lambda f: _nonneg(f, allow_inf=True),
+    contains=lambda f: _length(f, allow_inf=True) is not None,
 )
 
 
@@ -248,8 +256,12 @@ class WeightedTree:
     def make(shape: PlanarTree, lengths: Mapping[int, float]) -> "WeightedTree":
         if set(lengths) != set(shape.nodes):
             raise MalformedLabelling("lengths must cover every edge exactly once")
-        return WeightedTree(
-            shape, tuple(sorted((u, float(x) + 0.0) for u, x in lengths.items())))
+        lens = {u: _length(x, allow_inf=True) for u, x in lengths.items()}
+        for u, x in lens.items():
+            if x is None:
+                raise MalformedLabelling(
+                    f"edge out of {u} has bad length {lengths[u]!r}")
+        return WeightedTree(shape, tuple(sorted(lens.items())))
 
     @cached_property
     def length_map(self) -> dict[int, float]:
@@ -273,9 +285,6 @@ def _check_weighted(w: WeightedTree) -> None:
     for v in w.shape.vertices:
         if w.shape.arity(v) == 0:
             raise MalformedLabelling(f"vertex {v} has no children")
-    for u, x in w.lengths:
-        if math.isnan(x) or x < 0:
-            raise MalformedLabelling(f"edge out of {u} has bad length {x!r}")
 
 
 def applicable_moves(w: WeightedTree) -> tuple[tuple[str, int], ...]:
@@ -363,15 +372,13 @@ class PhyloTree:
             raise PhyloInvariantError("lengths must cover every edge exactly once")
         lens: dict[int, float] = {}
         for u, x in lengths.items():
-            x = float(x)
-            if not x >= 0:  # NaN or negative
+            y = _length(x, extended)
+            if y is None:
                 raise PhyloInvariantError(f"edge out of {u} has bad length {x!r}")
-            if x == math.inf and not extended:
-                raise PhyloInvariantError("infinite length needs extended=True")
-            if x == 0 and u < 0 and parent[u] < 0:
+            if y == 0 and u < 0 and parent[u] < 0:
                 raise PhyloInvariantError(
                     f"internal edge out of {u} has length zero")
-            lens[u] = x + 0.0
+            lens[u] = y
         canon, _, lens = shape.canonical("unordered", labels=lens)
         packed = [lens[j] for j in range(1, shape.n + 1)]
         packed.extend(lens[-j] for j in range(1, canon.num_vertices + 1))
@@ -415,13 +422,13 @@ class PhyloTree:
         lens = self.length_map()
         lens.update(new)
         return PhyloTree.make(self.shape, lens,
-                              extended=any(math.isinf(x) for x in lens.values()))
+                              extended=any(x == math.inf for x in lens.values()))
 
 
 def unit_phylo(length: float = 0.0) -> PhyloTree:
     """The single-edge tree on one leaf; length 0 is the operad identity."""
     return PhyloTree.make(unit_tree(), {1: length},
-                          extended=math.isinf(length))
+                          extended=length == math.inf)
 
 
 def to_phylo(w: WeightedTree) -> PhyloTree:

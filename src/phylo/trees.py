@@ -348,15 +348,10 @@ class PlanarTree:
                 order[u] = kids
                 key = f"({','.join([keys.pop(c) for c in kids])})"
             keys[u] = f"{labels[u]!r}:{key}" if u in labels else key
-        # one walk in the new child order numbers the vertices as they pop,
-        # so ascending ids are the vertices in reverse pop order
-        rename: dict[int, int] = {}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            if u < 0:
-                rename[u] = -len(rename) - 1
-                stack.extend(reversed(order[u]))
+        # the preorder in the new child order numbers the vertices -1, -2, ...,
+        # so ascending ids are the vertices in reverse preorder
+        verts = [u for u in _preorder(self.root, order) if u < 0]
+        rename = dict(zip(verts, range(-1, -len(verts) - 1, -1)))
         get = rename.get
         children = tuple([(rename[v], tuple([get(c, c) for c in order[v]]))
                           for v in reversed(rename)])
@@ -372,7 +367,7 @@ def _preorder(root: int, kids: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
         u = stack.pop()
         out.append(u)
         if u < 0:
-            stack.extend(reversed(kids[u]))
+            stack.extend(kids[u][::-1])
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .operads import PhyloTree
+from .operads import PhyloTree, _length
 from .trees import PhyloError, PlanarTree, _freeze, record, unit_tree
 
 
@@ -174,7 +174,7 @@ class ExternalLengths:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(x < 0 or math.isnan(x) or math.isinf(x) for x in self.values):
+        if any(_length(x, allow_inf=False) is None for x in self.values):
             raise TreeSpaceError("external lengths must be finite and >= 0")
 
     @property
@@ -221,7 +221,7 @@ def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
     mask = node_clusters(shape)
     by_cluster = {mask[v]: v for v in shape.internal_edge_sources()}
     for c, x in lengths.items():
-        lens[by_cluster[c]] = float(x)
+        lens[by_cluster[c]] = x
     return MetricTree(PhyloTree.make(shape, lens))
 
 
@@ -482,7 +482,7 @@ class BasicOpenSet:
         for lo, hi in (*self.internal_windows, *self.external_windows):
             if not lo < hi:
                 raise TreeSpaceError(f"window ({lo}, {hi}) has no interior")
-        if not isinstance(self.radii, (int, float)) or not self.radii > 0:
+        if not _length(self.radii, allow_inf=False):  # None or 0
             raise TreeSpaceError("the resolution radius must be a positive number")
 
     @cached_property

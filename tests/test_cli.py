@@ -447,11 +447,34 @@ class TestMalformedTreeInputs:
         {"leaf": 1, "length": 10 ** 400},
         {"children": [{"leaf": 1, "length": 0}, {"leaf": 1, "length": 0}],
          "length": 0},
+        {"leaf": 1, "length": math.inf},
+        {"leaf": 1, "length": math.nan},
+        {"children": [{"leaf": 1, "length": math.inf}, {"leaf": 2, "length": 0}],
+         "length": 0},
+        {"children": [{"leaf": 1, "length": 0}, {"leaf": 2, "length": math.nan}],
+         "length": 0},
     ])
     def test_malformed_reduce_exit_one(self, capsys, tmp_path, doc):
         code, out, err = run(capsys, "reduce",
                              write(tmp_path, "w.json", json.dumps(doc)))
-        assert code == 1 and out == "" and "error" in err
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, True, "1"])
+    @pytest.mark.parametrize("metric, rest", [("1:0;", []),
+                                              ("(1:0,2:0):0;", [0.5, 0.5])],
+                             ids=["1-leaf", "2-leaf"])
+    def test_recompose_non_length_exit_one(self, capsys, tmp_path, length,
+                                           metric, rest):
+        doc = {"metric": metric, "external": [length, *rest]}
+        code, out, err = run(capsys, "recompose",
+                             write(tmp_path, "f.json", json.dumps(doc)))
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_compose_whose_graft_sums_to_inf_exit_one(self, capsys, tmp_path):
+        outer = write(tmp_path, "o.nwk", "(1:1e308,2:0):0;")
+        inner = write(tmp_path, "i.nwk", "1:1e308;")
+        code, out, err = run(capsys, "compose", "--at", "1", outer, inner)
+        assert code == 1 and out == "" and err.startswith("error:")
 
     @given(json_values | tree_json)
     def test_any_reduce_json_exits_zero_or_one(self, doc):

@@ -271,6 +271,11 @@ class TestSiteProduct:
         with pytest.raises(SizeCap):
             site_product(jukes_cantor(1.0, 4), 4)
 
+    @pytest.mark.parametrize("sites", [True, False, 2.0, "2", None, 0])
+    def test_non_count_sites_rejected(self, sites):
+        with pytest.raises(MarkovError, match="site count must be an int"):
+            site_product(FLIP, sites)
+
 
 class TestSimulate:
     def test_zero_length_tree_reproduces_root_draw(self):
@@ -315,6 +320,12 @@ class TestSimulate:
         f = Distribution.uniform(FLIP.states)
         with pytest.raises(MarkovError, match="samples must be an int"):
             simulate_branching(unit_phylo(0.0), FLIP, f, seed=0, samples=samples)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", None, -1])
+    def test_non_count_seed_rejected(self, seed):
+        f = Distribution.uniform(FLIP.states)
+        with pytest.raises(MarkovError, match="seed must be an int"):
+            simulate_branching(unit_phylo(0.0), FLIP, f, seed=seed, samples=1)
 
     def test_state_space_mismatch(self):
         f = Distribution.uniform(StateSpace(("x", "y")))
