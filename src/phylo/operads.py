@@ -34,6 +34,7 @@ from .trees import (
     _freeze,
     _grafted,
     _inverse_perm,
+    _set,
     invert_perm,
     record,
     unit_tree,
@@ -348,14 +349,39 @@ class PhyloTree:
     """An isomorphism class of edge-weighted trees with positive internal
     lengths and every vertex at least binary.
 
-    Stored as the canonical unordered representative, so value equality and
-    hashing decide equality of the classes.  Lengths are indexed leaf 1..n
-    first, then vertices -1..-k in canonical order.  Lengths may be ``inf``
-    only when constructed with ``extended=True``.
+    ``make`` validates a representative and stores it as built, in
+    ``_rep`` and ``_rep_lengths`` (node -> length).  Composition, the leaf
+    action, ``n``, ``is_extended`` and the root, leaf and external lengths
+    read it, since they do not depend on vertex ids.  The fields ``shape``
+    and ``lengths`` are the canonical unordered representative, computed
+    on first read and kept (it becomes the stored one too), so value
+    equality, hashing and the repr decide and show the class.  Lengths are
+    indexed leaf 1..n first, then vertices -1..-k in canonical order.
+    Lengths may be ``inf`` only when constructed with ``extended=True``.
     """
 
     shape: PlanarTree
     lengths: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # built from canonical fields, which also serve as the representative
+        _set(self, "_rep", self.shape)
+        _set(self, "_rep_lengths", self.length_map())
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an unset attribute: the canonical fields of a
+        # tree ``make`` built, on their first read.  The canonical
+        # representative then replaces the one built, which is let go.
+        if name not in ("shape", "lengths"):
+            raise AttributeError(name)
+        canon, _, lens = self._rep.canonical("unordered", labels=self._rep_lengths)
+        packed = [lens[j] for j in range(1, canon.n + 1)]
+        packed.extend(lens[-j] for j in range(1, canon.num_vertices + 1))
+        _set(self, "shape", canon)
+        _set(self, "lengths", tuple(packed))
+        _set(self, "_rep", canon)
+        _set(self, "_rep_lengths", lens)
+        return self.__dict__[name]
 
     @staticmethod
     def make(shape: PlanarTree, lengths: Mapping[int, float],
@@ -379,14 +405,14 @@ class PhyloTree:
                 raise PhyloInvariantError(
                     f"internal edge out of {u} has length zero")
             lens[u] = y
-        canon, _, lens = shape.canonical("unordered", labels=lens)
-        packed = [lens[j] for j in range(1, shape.n + 1)]
-        packed.extend(lens[-j] for j in range(1, canon.num_vertices + 1))
-        return PhyloTree(canon, tuple(packed))
+        t = object.__new__(PhyloTree)
+        _set(t, "_rep", shape)
+        _set(t, "_rep_lengths", lens)
+        return t
 
     @property
     def n(self) -> int:
-        return self.shape.n
+        return self._rep.n
 
     def length(self, u: int) -> float:
         if u > 0:
@@ -395,16 +421,17 @@ class PhyloTree:
 
     @property
     def root_length(self) -> float:
-        return self.length(self.shape.root)
+        return self._rep_lengths[self._rep.root]
 
     def leaf_length(self, i: int) -> float:
         if not 1 <= i <= self.n:
             raise LeafIndexOutOfRange(f"leaf {i} not in 1..{self.n}")
-        return self.lengths[i - 1]
+        return self._rep_lengths[i]
 
     def external_lengths(self) -> tuple[float, ...]:
         """Root edge length first, then the leaf edge lengths 1..n."""
-        return (self.root_length,) + tuple(self.lengths[: self.n])
+        lens = self._rep_lengths
+        return (self.root_length, *[lens[j] for j in range(1, self.n + 1)])
 
     def internal_items(self) -> tuple[tuple[int, float], ...]:
         return tuple((v, self.length(v))
@@ -412,7 +439,7 @@ class PhyloTree:
 
     @property
     def is_extended(self) -> bool:
-        return math.inf in self.lengths
+        return math.inf in self._rep_lengths.values()
 
     def length_map(self) -> dict[int, float]:
         n, k = self.n, self.shape.num_vertices
@@ -445,10 +472,10 @@ def from_phylo(p: PhyloTree) -> WeightedTree:
 def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
     """Graft ``inner`` onto leaf i of ``outer``; the identified edge gets the
     sum of the two lengths, and collapses if that sum is an internal zero."""
-    out, into = outer.shape.graft_renaming(i, inner.shape)
-    shape = _grafted(outer.shape, inner.shape, out, into)
-    lens = {out[u]: y for u, y in outer.length_map().items()}
-    lens.update((into[u], y) for u, y in inner.length_map().items())
+    out, into = outer._rep.graft_renaming(i, inner._rep)
+    shape = _grafted(outer._rep, inner._rep, out, into)
+    lens = {out[u]: y for u, y in outer._rep_lengths.items()}
+    lens.update((into[u], y) for u, y in inner._rep_lengths.items())
     x = out[i]
     lens[x] = inner.root_length + outer.leaf_length(i)
     if x < 0 and shape.parent[x] < 0 and lens[x] == 0.0:
@@ -461,8 +488,8 @@ def phylo_compose(outer: PhyloTree, i: int, inner: PhyloTree) -> PhyloTree:
 def phylo_act(p: PhyloTree, sigma: Sequence[int]) -> PhyloTree:
     """Relabel leaves by the right action of ``sigma``."""
     inv = _inverse_perm(sigma, p.n)  # the leaf map of PlanarTree.permute_leaves
-    lens = {inv.get(u, u): x for u, x in p.length_map().items()}
-    return PhyloTree.make(p.shape.permute_leaves(sigma), lens,
+    lens = {inv.get(u, u): x for u, x in p._rep_lengths.items()}
+    return PhyloTree.make(p._rep.permute_leaves(sigma), lens,
                           extended=p.is_extended)
 
 

@@ -75,9 +75,11 @@ def node_clusters(shape: PlanarTree) -> dict[int, int]:
 
 
 def cluster_lengths(t: PhyloTree) -> dict[int, float]:
-    """Internal edges of ``t`` as {leaf cluster: length}."""
-    mask = node_clusters(t.shape)
-    return {mask[v]: t.length(v) for v in t.shape.internal_edge_sources()}
+    """Internal edges of ``t`` as {leaf cluster: length}.  Clusters do not
+    depend on vertex ids, so this reads the tree as built."""
+    mask = node_clusters(t._rep)
+    lens = t._rep_lengths
+    return {mask[v]: lens[v] for v in t._rep.internal_edge_sources()}
 
 
 def shape_clusters(shape: PlanarTree) -> frozenset[int]:
@@ -479,7 +481,12 @@ class BasicOpenSet:
             raise TreeSpaceError(f"expected {k} internal windows")
         if len(self.external_windows) != n + 1:
             raise TreeSpaceError(f"expected {n + 1} external windows")
-        for lo, hi in (*self.internal_windows, *self.external_windows):
+        for window in (*self.internal_windows, *self.external_windows):
+            if not (isinstance(window, tuple) and len(window) == 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in window)):
+                raise TreeSpaceError(f"window {window!r} is not a pair of numbers")
+            lo, hi = window
             if not lo < hi:
                 raise TreeSpaceError(f"window ({lo}, {hi}) has no interior")
         if not _length(self.radii, allow_inf=False):  # None or 0

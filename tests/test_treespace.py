@@ -416,6 +416,22 @@ class TestNeighborhoods:
                          internal_windows=(),
                          external_windows=tuple((-1.0, 0.5) for _ in range(5)))
 
+    @pytest.mark.parametrize("window", [
+        ("a", "b"), (False, True), (None, 1.0), (0.0, "1"), (-1.0, 0.5, 2.0),
+        (-1.0,), [-1.0, 0.5], "ab",
+    ])
+    def test_window_ends_are_numbers(self, window):
+        # a string window used to build and then fail membership with a
+        # bare TypeError
+        with pytest.raises(TreeSpaceError):
+            BasicOpenSet(tree_from_clusters(4, [fs(1, 2)]), ((0.5, 1.5),),
+                         (window,) + ((-1.0, 0.5),) * 4)
+
+    def test_int_and_infinite_window_ends(self):
+        u = BasicOpenSet(tree_from_clusters(4, [fs(1, 2)]), ((0, 2),),
+                         ((-1, 0.5),) + ((-math.inf, math.inf),) * 4)
+        assert neighborhood_contains(u, metric_tree(4, {fs(1, 2): 1.0}).tree)
+
 
 class TestMetricTreeValidation:
     def test_nonzero_external_rejected(self):
