@@ -134,13 +134,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from . import treespace
-    t = _load_tree(args.tree)
-    if t.n == 1:
-        unit, length = treespace.decompose1(t)
-        _emit_json({"metric": newick.serialize_newick(unit.tree),
-                    "external": [length]})
-        return 0
-    m, ext = treespace.decompose(t)
+    m, ext = treespace.decompose(_load_tree(args.tree))
     _emit_json({"metric": newick.serialize_newick(m.tree),
                 "external": list(ext.values)})
     return 0
@@ -153,15 +147,8 @@ def _cmd_recompose(args: argparse.Namespace) -> int:
             and isinstance(doc.get("external"), list)):
         raise TreeError('factors JSON needs "metric" Newick text and an '
                         '"external" list of numbers')
-    ext = doc["external"]
-    m_tree = newick.parse_newick(doc["metric"].strip())
-    if m_tree.n == 1:
-        if len(ext) != 1:
-            raise TreeError("a 1-leaf tree has exactly one external length")
-        print(newick.serialize_newick(treespace.recompose1(ext[0])))
-        return 0
-    m = treespace.MetricTree(m_tree)
-    out = treespace.recompose(m, treespace.ExternalLengths(tuple(ext)))
+    m = treespace.MetricTree(newick.parse_newick(doc["metric"].strip()))
+    out = treespace.recompose(m, treespace.ExternalLengths(tuple(doc["external"])))
     print(newick.serialize_newick(out))
     return 0
 

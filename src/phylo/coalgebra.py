@@ -217,12 +217,8 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
         raise ParameterOutOfRange(f"parameter {s!r} not in [0, 1]")
     if r == 0:
         return t
-    new: dict[int, float] = {}
-    for j in range(1, t.n + 1):
-        new[j] = from_unit((1.0 - r) * to_unit(t.leaf_length(j)) + r)
-    root = t.shape.root
-    new[root] = from_unit((1.0 - r) * to_unit(t.root_length) + r)
-    return t.with_lengths(new)
+    return t.with_external([from_unit((1.0 - r) * to_unit(x) + r)
+                            for x in t.external_lengths()])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .trees import (
     LeafIndexOutOfRange,
     PhyloError,
     PlanarTree,
+    UnknownVertex,
+    _derived,
     _freeze,
     _grafted,
     _inverse_perm,
@@ -276,8 +278,9 @@ class WeightedTree:
         return self.length_map[u]
 
     def canonical(self) -> tuple["WeightedTree", str]:
+        # renumbering the nodes keeps the lengths valid
         shape, key, lens = self.shape.canonical("unordered", labels=self.length_map)
-        return WeightedTree.make(shape, lens), key
+        return WeightedTree(shape, tuple(sorted(lens.items()))), key
 
 
 def _check_weighted(w: WeightedTree) -> None:
@@ -334,10 +337,12 @@ def normal_form(w: WeightedTree) -> WeightedTree:
             below[v] = c
     kids = {v: tuple(below.get(c, c) for c in cs)
             for v, cs in w.shape.children if v not in below}
-    shape = PlanarTree(w.n, below.get(w.shape.root, w.shape.root), _freeze(kids))
+    shape = _derived(w.n, below.get(w.shape.root, w.shape.root), _freeze(kids))
     shape = shape.contract_edges(
         v for v in shape.internal_edge_sources() if lens[v] == 0.0)
-    return WeightedTree.make(shape, {u: lens[u] for u in shape.nodes}).canonical()[0]
+    # the lengths are w's or sums of them, so they need no second check
+    kept = tuple([(u, lens[u]) for u in sorted(shape.nodes)])
+    return WeightedTree(shape, kept).canonical()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +356,8 @@ class PhyloTree:
 
     ``make`` validates a representative and stores it as built, in
     ``_rep`` and ``_rep_lengths`` (node -> length).  Composition, the leaf
-    action, ``n``, ``is_extended`` and the root, leaf and external lengths
-    read it, since they do not depend on vertex ids.  The fields ``shape``
+    action, ``n``, ``is_extended``, the root, leaf and external lengths and
+    ``with_external`` read it, since they do not depend on vertex ids.  The fields ``shape``
     and ``lengths`` are the canonical unordered representative, computed
     on first read and kept (it becomes the stored one too), so value
     equality, hashing and the repr decide and show the class.  Lengths are
@@ -415,9 +420,12 @@ class PhyloTree:
         return self._rep.n
 
     def length(self, u: int) -> float:
-        if u > 0:
-            return self.lengths[u - 1]
-        return self.lengths[self.n - u - 1]
+        """The length of the edge out of node ``u`` of ``shape``."""
+        self.shape  # once read, the stored tree is the canonical one
+        try:
+            return self._rep_lengths[u]
+        except (KeyError, TypeError):  # TypeError: an unhashable u
+            raise UnknownVertex(f"{u!r} is not a node of this tree") from None
 
     @property
     def root_length(self) -> float:
@@ -429,9 +437,10 @@ class PhyloTree:
         return self._rep_lengths[i]
 
     def external_lengths(self) -> tuple[float, ...]:
-        """Root edge length first, then the leaf edge lengths 1..n."""
+        """The lengths of ``PlanarTree.external_edges``: the root edge
+        first, then the leaf edges 1..n not already listed."""
         lens = self._rep_lengths
-        return (self.root_length, *[lens[j] for j in range(1, self.n + 1)])
+        return tuple([lens[u] for u in self._rep.external_edges])
 
     def internal_items(self) -> tuple[tuple[int, float], ...]:
         return tuple((v, self.length(v))
@@ -445,11 +454,16 @@ class PhyloTree:
         n, k = self.n, self.shape.num_vertices
         return dict(zip((*range(1, n + 1), *range(-1, -k - 1, -1)), self.lengths))
 
-    def with_lengths(self, new: Mapping[int, float]) -> "PhyloTree":
-        lens = self.length_map()
-        lens.update(new)
-        return PhyloTree.make(self.shape, lens,
-                              extended=any(x == math.inf for x in lens.values()))
+    def with_external(self, values: Sequence[float]) -> "PhyloTree":
+        """This tree with ``values``, in ``external_lengths()`` order, as its
+        external lengths; internal lengths stay."""
+        edges = self._rep.external_edges
+        if len(values) != len(edges):
+            raise PhyloInvariantError(
+                f"{len(values)} values for {len(edges)} external edges")
+        lens = dict(self._rep_lengths)
+        lens.update(zip(edges, values))
+        return PhyloTree.make(self._rep, lens, extended=math.inf in lens.values())
 
 
 def unit_phylo(length: float = 0.0) -> PhyloTree:

@@ -233,6 +233,12 @@ class PlanarTree:
     def internal_edge_sources(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if self.parent[v] < 0)
 
+    @cached_property
+    def external_edges(self) -> tuple[int, ...]:
+        """The root edge, then each leaf edge not already listed: one edge
+        on the unit tree, n + 1 on a tree with a root vertex."""
+        return (self.root, *[j for j in range(1, self.n + 1) if j != self.root])
+
     def leaf_order(self) -> tuple[int, ...]:
         """Leaf labels in planar (left to right, depth first) order."""
         return tuple(u for u in self.preorder if u > 0)

@@ -19,14 +19,10 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .operads import PhyloTree, _length
-from .trees import PhyloError, PlanarTree, _freeze, record, unit_tree
+from .trees import PhyloError, PlanarTree, _freeze, record
 
 
 class TreeSpaceError(PhyloError):
-    pass
-
-
-class WrongArity(TreeSpaceError):
     pass
 
 
@@ -171,17 +167,14 @@ def axis_order(clusters: Iterable[int]) -> tuple[int, ...]:
 
 @record
 class ExternalLengths:
-    """Root edge length at index 0, leaf edge lengths at 1..n."""
+    """The external lengths in ``PhyloTree.external_lengths()`` order: the
+    root edge first, then the leaf edges not already listed."""
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if any(_length(x, allow_inf=False) is None for x in self.values):
             raise TreeSpaceError("external lengths must be finite and >= 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
 
 
 @record
@@ -212,10 +205,6 @@ class MetricTree:
         return all(self.tree.shape.arity(v) == 2 for v in self.tree.shape.vertices)
 
 
-def unit_metric_tree() -> MetricTree:
-    return MetricTree(PhyloTree.make(unit_tree(), {1: 0.0}))
-
-
 def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
     """Metric tree from {cluster: positive length}."""
     shape = tree_from_clusters(n, lengths)
@@ -229,34 +218,18 @@ def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
 
 def decompose(t: PhyloTree) -> tuple[MetricTree, ExternalLengths]:
     """Split off the external lengths; inverse of ``recompose``, exactly."""
-    if t.n < 2:
-        raise WrongArity("decompose needs n >= 2; use decompose1 for n = 1")
     if t.is_extended:
         raise TreeSpaceError("cannot decompose a tree with infinite lengths")
     ext = ExternalLengths(t.external_lengths())
-    zeroed = {j: 0.0 for j in range(1, t.n + 1)}
-    zeroed[t.shape.root] = 0.0
-    return MetricTree(t.with_lengths(zeroed)), ext
-
-
-def decompose1(t: PhyloTree) -> tuple[MetricTree, float]:
-    if t.n != 1:
-        raise WrongArity("decompose1 applies to 1-leaf trees only")
-    return unit_metric_tree(), t.root_length
+    return MetricTree(t.with_external((0.0,) * len(ext.values))), ext
 
 
 def recompose(m: MetricTree, ext: ExternalLengths) -> PhyloTree:
-    if m.n < 2:
-        raise WrongArity("recompose needs n >= 2; use recompose1")
-    if ext.n != m.n:
-        raise ArityMismatch(f"{ext.n + 1} external lengths for {m.n} leaves")
-    new = {j: ext.values[j] for j in range(1, m.n + 1)}
-    new[m.tree.shape.root] = ext.values[0]
-    return m.tree.with_lengths(new)
-
-
-def recompose1(length: float) -> PhyloTree:
-    return PhyloTree.make(unit_tree(), {1: length})
+    k = len(m.tree.external_lengths())
+    if len(ext.values) != k:
+        raise ArityMismatch(f"a {m.n}-leaf tree takes {k} external lengths, "
+                            f"not {len(ext.values)}")
+    return m.tree.with_external(ext.values)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +447,13 @@ class BasicOpenSet:
 
     def __post_init__(self) -> None:
         k = len(shape_clusters(self.base))
-        n = self.base.n
+        e = len(self.base.external_edges)
         if any(self.base.arity(v) < 2 for v in self.base.vertices):
             raise TreeSpaceError("base topology cannot have unary vertices")
         if len(self.internal_windows) != k:
             raise TreeSpaceError(f"expected {k} internal windows")
-        if len(self.external_windows) != n + 1:
-            raise TreeSpaceError(f"expected {n + 1} external windows")
+        if len(self.external_windows) != e:
+            raise TreeSpaceError(f"expected {e} external windows")
         for window in (*self.internal_windows, *self.external_windows):
             if not (isinstance(window, tuple) and len(window) == 2 and all(
                     isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -502,9 +475,7 @@ def neighborhood_contains(u: BasicOpenSet, z: PhyloTree) -> bool:
         raise ArityMismatch(f"neighborhood is for {u.base.n}-leaf trees")
     base_cl = shape_clusters(u.base)
     z_cl = cluster_lengths(z)
-    ext = z.external_lengths()
-    if not all(_contains(u.external_windows[j], ext[j])
-               for j in range(z.n + 1)):
+    if not all(map(_contains, u.external_windows, z.external_lengths())):
         return False
     if frozenset(z_cl) == base_cl:
         return all(_contains(u.internal_windows[i], z_cl[c])

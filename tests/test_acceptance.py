@@ -49,13 +49,11 @@ from phylo.treespace import (
     BasicOpenSet,
     bhv_distance,
     decompose,
-    decompose1,
     enumerate_binary_topologies,
     enumerate_strata,
     metric_tree,
     neighborhood_contains,
     recompose,
-    recompose1,
     tree_from_clusters,
 )
 from phylo.trees import corolla
@@ -117,12 +115,8 @@ def test_c03_homeomorphism_factors():
     for n in range(1, 7):
         for _ in range(1000):
             t = random_phylo(rng, n)
-            if n == 1:
-                _, length = decompose1(t)
-                assert recompose1(length) == t
-            else:
-                m, ext = decompose(t)
-                assert recompose(m, ext) == t
+            m, ext = decompose(t)
+            assert recompose(m, ext) == t
 
 
 @criterion("04 operad laws", 10.0)

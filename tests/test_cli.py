@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import inspect
@@ -118,7 +119,58 @@ class TestTreeCommands:
         assert code == 1
 
 
+# decompose stdout and recompose stdout, recompose reading decompose's
+# output, pinned for n = 1..8; one decomposition serves every n
+FACTORS = [
+    ('1:2.5;',
+     '{"metric": "1:0;", "external": [2.5]}',
+     '1:2.5;'),
+    ('(1:0.5,2:0.25):1;',
+     '{"metric": "(1:0,2:0):0;", "external": [1.0, 0.5, 0.25]}',
+     '(2:0.25,1:0.5):1;'),
+    ('((1:0.125,2:0.5):1,3:0.25):0.75;',
+     '{"metric": "(3:0,(1:0,2:0):1):0;", "external": [0.75, 0.125, 0.5, 0.25]}',
+     '(3:0.25,(1:0.125,2:0.5):1):0.75;'),
+    ('((1:0.5,2:0):1.5,(3:0.25,4:1):0.5):0;',
+     '{"metric": "((3:0,4:0):0.5,(1:0,2:0):1.5):0;", "external": [0.0, 0.5, 0.0, 0.25, 1.0]}',
+     '((3:0.25,4:1):0.5,(2:0,1:0.5):1.5):0;'),
+    ('(((1:1,2:0.5):0.25,3:0):2,(4:0.125,5:0.375):0.5):0.0625;',
+     '{"metric": "((4:0,5:0):0.5,(3:0,(1:0,2:0):0.25):2):0;", "external": [0.0625, 1.0, 0.5, 0.0, 0.125, 0.375]}',
+     '((4:0.125,5:0.375):0.5,(3:0,(2:0.5,1:1):0.25):2):0.0625;'),
+    ('(1:0.5,2:0.5,3:0.5,4:0.5,5:0.5,6:0.5):3;',
+     '{"metric": "(1:0,2:0,3:0,4:0,5:0,6:0):0;", "external": [3.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+     '(1:0.5,2:0.5,3:0.5,4:0.5,5:0.5,6:0.5):3;'),
+    ('((((((1:0.5,2:0.25):1,3:0):1,4:0.75):1,5:0):0.5,6:1):0.25,7:0.125):0;',
+     '{"metric": "(7:0,(6:0,(5:0,(4:0,(3:0,(1:0,2:0):1):1):1):0.5):0.25):0;", "external": [0.0, 0.5, 0.25, 0.0, 0.75, 0.0, 1.0, 0.125]}',
+     '(7:0.125,((5:0,(4:0.75,(3:0,(2:0.25,1:0.5):1):1):1):0.5,6:1):0.25):0;'),
+    ('(((8:0.5,3:0.25):1,(1:0,6:0.125):2):0.5,((2:1,7:0):0.25,(5:0.75,4:0.5):1):1.5):0.25;',
+     '{"metric": "(((3:0,8:0):1,(1:0,6:0):2):0.5,((2:0,7:0):0.25,(4:0,5:0):1):1.5):0;", "external": [0.25, 0.0, 1.0, 0.25, 0.5, 0.75, 0.125, 0.0, 0.5]}',
+     '(((3:0.25,8:0.5):1,(1:0,6:0.125):2):0.5,((7:0,2:1):0.25,(4:0.5,5:0.75):1):1.5):0.25;'),
+]
+
+
 class TestSpaceCommands:
+    @pytest.mark.parametrize("text, factors, back", FACTORS,
+                             ids=[f"n={n}" for n in range(1, 9)])
+    def test_factors_pinned(self, capsys, tmp_path, text, factors, back):
+        code, out, _ = run(capsys, "decompose", write(tmp_path, "t.nwk", text))
+        assert (code, out) == (0, factors + "\n")
+        code, out, _ = run(capsys, "recompose", write(tmp_path, "f.json", out))
+        assert (code, out) == (0, back + "\n")
+
+    @pytest.mark.parametrize("doc", [
+        {"metric": "1:0;", "external": [1, 2]},
+        {"metric": "1:0;", "external": []},
+        {"metric": "((1:0,2:0):1,3:0):0;", "external": [0, 0, 0]},
+        {"metric": "((1:0,2:0):1,3:0):0;", "external": [0, 0, 0, 0, 0]},
+        {"metric": "1:3;", "external": [2]},  # not a metric tree
+    ], ids=["1-leaf-two", "1-leaf-none", "3-leaf-three", "3-leaf-five",
+            "1-leaf-not-metric"])
+    def test_wrong_factors_exit_one(self, capsys, tmp_path, doc):
+        code, out, err = run(capsys, "recompose",
+                             write(tmp_path, "f.json", json.dumps(doc)))
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_topologies_four(self, capsys):
         code, out, _ = run(capsys, "topologies", "--n", "4")
         doc = json.loads(out)
@@ -639,6 +691,48 @@ def test_traced_benchmark_patches_existing_names():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def benchmark_library_names() -> set[str]:
+    """Every dotted name the benchmark sources reach on a ``phylo`` module,
+    read from ``perfbench/*.py`` without importing them: ``newick.X`` after
+    ``from phylo import newick``, ``operads.WeightedTree.make`` in full, and
+    each name a ``from phylo.M import ...`` takes."""
+    found = set()
+    for path in sorted((SRC.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "phylo":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module or "").startswith("phylo."):
+                found.update(f"{node.module[6:]}.{a.name}" for a in node.names)
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                found.add(".".join([modules[node.id], *reversed(chain)]))
+    return found
+
+
+def test_benchmark_reaches_only_existing_library_names():
+    # perfbench calls these names directly, so a removed one would fail
+    # benchmark operations at run time and no import before them
+    names = benchmark_library_names()
+    assert {"operads.WeightedTree.make", "treespace.decompose",
+            "newick.parse_newick", "coalgebra.evaluate"} <= names
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"phylo.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("workload", ["algebra", "likelihood"])

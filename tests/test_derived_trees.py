@@ -2,7 +2,8 @@
 these seeded properties re-run the full validation on every such tree.
 
 ``canonical``, ``graft`` (``_grafted``), ``permute_leaves``,
-``contract_edges`` and ``parse_newick`` build their results unchecked.
+``contract_edges``, ``parse_newick`` and ``normal_form`` (its unary-free
+shape) build their results unchecked.
 Rebuilding each result through the public constructor must give an equal
 tree, on binary, multifurcating and caterpillar trees up to 2,000 leaves
 and, where the operation allows them, trees with unary vertices.
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import caterpillar, caterpillar_newick
 from phylo import newick
-from phylo.operads import PhyloTree
+from phylo.operads import PhyloTree, WeightedTree, normal_form
 from phylo.trees import (
     MultipleRootEdges,
     PlanarTree,
@@ -88,6 +89,13 @@ def test_grafts_permutations_and_contractions_revalidate(unary):
         for share in (0.0, 0.5, 1.0):
             gone = [v for v in internal if rng.random() < share]
             assert_revalidates(t.contract_edges(gone))
+
+
+def test_normal_forms_revalidate():
+    rng = random.Random(61)
+    for t in trees(60, 0.3):
+        lengths = {u: rng.choice((0.0, 0.5, 1.0)) for u in t.nodes}
+        assert_revalidates(normal_form(WeightedTree.make(t, lengths)).shape)
 
 
 def _newick(t: PlanarTree, rng: random.Random) -> str:

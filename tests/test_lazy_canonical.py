@@ -18,7 +18,13 @@ from phylo.newick import parse_newick, serialize_newick
 from phylo.operads import PhyloInvariantError, PhyloTree, phylo_act, phylo_compose
 from phylo.sampling import random_perm, random_shape
 from phylo.trees import PlanarTree, corolla
-from phylo.treespace import MetricTree, bhv_distance, cluster_lengths
+from phylo.treespace import (
+    MetricTree,
+    bhv_distance,
+    cluster_lengths,
+    decompose,
+    recompose,
+)
 
 # few distinct lengths, so siblings often tie on their length text
 LENGTHS = (0.25, 0.5, 0.75, 1.0, 1.5)
@@ -84,7 +90,8 @@ ACCESSORS = {
     "hash": lambda t, e: hash(t),
     "repr": lambda t, e: repr(t),
     "serialize_newick": lambda t, e: serialize_newick(t),
-    "with_lengths": lambda t, e: t.with_lengths({1: 0.125}),
+    "with_external": lambda t, e: t.with_external(
+        (0.125,) * len(e.external_lengths())),
 }
 
 
@@ -202,6 +209,16 @@ def test_canonical_runs_once_per_tree_on_first_read(canonical_calls):
     assert canonical_calls == [t.n]
     assert t == parse_newick(text)   # the tree read back canonicalizes once
     assert canonical_calls == [t.n, t.n]
+
+
+def test_a_decompose_round_trip_canonicalizes_once_per_printed_tree(
+        canonical_calls):
+    text = "(((1:0.5,2:0.25):1,3:0):2,(4:0.125,5:0.375):0.5):0.0625;"
+    m, ext = decompose(parse_newick(text))
+    assert serialize_newick(m.tree) == "((4:0,5:0):0.5,(3:0,(1:0,2:0):1):2):0;"
+    assert serialize_newick(recompose(m, ext)) == \
+        "((4:0.125,5:0.375):0.5,(3:0,(2:0.25,1:0.5):1):2):0.0625;"
+    assert canonical_calls == [5, 5]
 
 
 def test_distances_read_the_tree_as_built(canonical_calls):

@@ -34,9 +34,10 @@ from phylo.trees import PhyloError, corolla
 from phylo.treespace import (
     BasicOpenSet,
     ExternalLengths,
+    MetricTree,
     TreeSpaceError,
     metric_tree,
-    recompose1,
+    recompose,
 )
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]], ("a", "b"))
@@ -53,10 +54,11 @@ READERS = {
     "WeightedTree.make": (
         lambda x: WeightedTree.make(corolla(2), {1: x, 2: 0.5, -1: 0.5}),
         MalformedLabelling, True),
-    "with_lengths": (lambda x: CHERRY.with_lengths({1: x}),
-                     PhyloInvariantError, True),
+    "with_external": (lambda x: CHERRY.with_external((0.5, x, 0.5)),
+                      PhyloInvariantError, True),
     "unit_phylo": (unit_phylo, PhyloInvariantError, True),
-    "recompose1": (recompose1, PhyloInvariantError, False),
+    "recompose": (lambda x: recompose(MetricTree(unit_phylo()), ExternalLengths((x,))),
+                  TreeSpaceError, False),
     "ExternalLengths": (lambda x: ExternalLengths((0.5, x, 0.5)),
                         TreeSpaceError, False),
     "metric_tree": (lambda x: metric_tree(3, {0b011: x}),

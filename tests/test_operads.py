@@ -39,6 +39,7 @@ from phylo.trees import (
     LabelledTree,
     LeafIndexOutOfRange,
     PlanarTree,
+    UnknownVertex,
     _freeze,
     corolla,
     invert_perm,
@@ -388,6 +389,26 @@ class TestPhyloBijection:
         w = WeightedTree.make(shape, {u: 1.0 for u in shape.nodes})
         with pytest.raises(NotReduced):
             to_phylo(w)
+
+    @pytest.mark.parametrize("u", [4, 0, -3, -99, 1.5, None, [1]])
+    def test_length_of_a_non_node_refused(self, u):
+        # 4 and 0 used to read the root's and leaf 3's lengths, -3 to raise
+        # a bare IndexError
+        p = PhyloTree.make(make_tree(3, "a", {"a": ["b", 3], "b": [1, 2]}),
+                           {1: 0.125, 2: 0.5, 3: 0.25, -1: 0.75, -2: 1.0})
+        assert sorted(map(p.length, p.shape.nodes)) == [0.125, 0.25, 0.5, 0.75, 1.0]
+        with pytest.raises(UnknownVertex):
+            p.length(u)
+
+    def test_with_external_takes_one_value_per_external_edge(self):
+        cherry = PhyloTree.make(corolla(2), {1: 0.5, 2: 0.25, -1: 1.0})
+        assert cherry.with_external((0.0, 1.0, 2.0)) == \
+            PhyloTree.make(corolla(2), {1: 1.0, 2: 2.0, -1: 0.0})
+        assert unit_phylo(0.5).with_external((2.0,)) == unit_phylo(2.0)
+        for t, values in ((cherry, (0.0, 1.0)), (unit_phylo(0.5), (1.0, 1.0)),
+                          (unit_phylo(0.5), ())):
+            with pytest.raises(PhyloInvariantError):
+                t.with_external(values)
 
     def test_invariants_enforced(self):
         with pytest.raises(PhyloInvariantError):

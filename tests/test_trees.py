@@ -111,6 +111,27 @@ class TestArity:
             corolla(2).arity(-9)
 
 
+class TestExternalEdges:
+    @staticmethod
+    def brute_force(t):
+        # the edges with no vertex at both ends: the root's, then the leaves'
+        ends = [u for u in t.nodes if not t.is_internal_edge(u)]
+        return (t.root, *sorted(u for u in ends if u != t.root))
+
+    def test_against_brute_force(self):
+        rng = random.Random(1919)
+        shapes = [unit_tree(), PlanarTree(1, -1, ((-1, (1,)),)),
+                  corolla(2).insert_vertex(-1)]
+        for _ in range(300):
+            t = random_shape(rng, rng.randint(1, 12))
+            for _ in range(rng.randint(0, 2)):  # unary vertices, root included
+                t = t.insert_vertex(rng.choice(t.nodes))
+            shapes.append(t)
+        for t in shapes:
+            assert t.external_edges == self.brute_force(t)
+            assert len(t.external_edges) == (1 if t.root > 0 else t.n + 1)
+
+
 # -- grafting ----------------------------------------------------------------
 
 class TestGraft:

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import caterpillar
-from phylo.operads import PhyloTree
+from phylo.newick import parse_newick
+from phylo.operads import PhyloTree, unit_phylo
 from phylo.sampling import (
     random_metric,
     random_metric_on_grid,
     random_phylo,
     random_shape,
 )
-from phylo.trees import make_tree
+from phylo.trees import make_tree, unit_tree
 from phylo.treespace import (
     ArityMismatch,
     ArityTooLarge,
@@ -25,14 +26,12 @@ from phylo.treespace import (
     MetricTree,
     Orthant,
     TreeSpaceError,
-    WrongArity,
     axis_order,
     bhv_distance,
     cluster_key,
     cluster_lengths,
     compatible,
     decompose,
-    decompose1,
     enumerate_binary_topologies,
     enumerate_strata,
     is_laminar,
@@ -41,10 +40,8 @@ from phylo.treespace import (
     neighborhood_contains,
     orthant_of,
     recompose,
-    recompose1,
     shape_clusters,
     tree_from_clusters,
-    unit_metric_tree,
 )
 
 
@@ -83,18 +80,25 @@ class TestDecompose:
         assert recompose(m, ext) == t
 
     def test_one_leaf_factors(self):
-        m, length = decompose1(recompose1(2.5))
-        assert m == unit_metric_tree()
-        assert length == 2.5
-        assert recompose1(length) == recompose1(2.5)
+        # the unit tree has one external edge, the root edge and leaf 1 at once
+        m, ext = decompose(unit_phylo(2.5))
+        assert m == MetricTree(unit_phylo())
+        assert ext.values == (2.5,)
+        assert recompose(m, ext) == unit_phylo(2.5)
 
     def test_wrong_arities(self):
-        with pytest.raises(WrongArity):
-            decompose(recompose1(1.0))
-        with pytest.raises(WrongArity):
-            decompose1(random_phylo(random.Random(0), 3))
-        with pytest.raises(WrongArity):
-            recompose(unit_metric_tree(), ExternalLengths((0.0, 0.0)))
+        with pytest.raises(ArityMismatch):
+            recompose(MetricTree(unit_phylo()), ExternalLengths((0.0, 0.0)))
+        with pytest.raises(ArityMismatch):
+            recompose(MetricTree(unit_phylo()), ExternalLengths(()))
+        with pytest.raises(ArityMismatch):
+            recompose(random_metric(random.Random(0), 3), ExternalLengths((0.0,)))
+
+    @pytest.mark.parametrize("text", ["1:inf;", "(1:inf,2:0):0;",
+                                      "((1:0,2:0):inf,3:0):0;"])
+    def test_infinite_trees_refused_at_every_arity(self, text):
+        with pytest.raises(TreeSpaceError):
+            decompose(parse_newick(text, allow_infinite=True))
 
 
 class TestTopologyEnumeration:
@@ -426,6 +430,13 @@ class TestNeighborhoods:
         with pytest.raises(TreeSpaceError):
             BasicOpenSet(tree_from_clusters(4, [fs(1, 2)]), ((0.5, 1.5),),
                          (window,) + ((-1.0, 0.5),) * 4)
+
+    def test_unit_tree_takes_one_external_window(self):
+        u = BasicOpenSet(unit_tree(), (), ((0.0, 1.0),))
+        assert neighborhood_contains(u, unit_phylo(0.5))
+        assert not neighborhood_contains(u, unit_phylo(1.5))
+        with pytest.raises(TreeSpaceError):
+            BasicOpenSet(unit_tree(), (), ((0.0, 1.0),) * 2)
 
     def test_int_and_infinite_window_ends(self):
         u = BasicOpenSet(tree_from_clusters(4, [fs(1, 2)]), ((0, 2),),
