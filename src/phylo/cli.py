@@ -103,8 +103,9 @@ def _perm_arg(text: str) -> tuple[int, ...]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     t = _load_tree(args.tree)
+    # the tree as built: counting edges needs no canonical form
     _emit_json({"valid": True, "n": t.n,
-                "internal_edges": len(t.shape.internal_edge_sources())})
+                "internal_edges": len(t._rep.internal_edge_sources())})
     return 0
 
 

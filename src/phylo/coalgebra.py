@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .markov import (
+    COLUMN_SUM_TOL,
     Distribution,
     MarkovGenerator,
     NonFiniteTime,
@@ -23,6 +24,7 @@ from .markov import (
     StateSpace,
     _check_same_states,
     _finite_array,
+    _probabilities,
     expm,
 )
 from .operads import PhyloTree, _length
@@ -51,28 +53,23 @@ class ParameterOutOfRange(CoalgebraError):
 
 @record
 class LeafTensor:
-    """A real function on n-tuples of states, leaf 1 on the outermost axis."""
+    """A joint distribution of n leaf states, leaf 1 on the outermost axis."""
 
     states: StateSpace
     n: int
     data: np.ndarray
 
     @staticmethod
-    def make(states: StateSpace, n: int, data: np.ndarray,
-             stochastic: bool = False) -> "LeafTensor":
+    def make(states: StateSpace, n: int, data: np.ndarray) -> "LeafTensor":
         s = states.size
         if s ** n > TENSOR_CAP:
             raise SizeCap(f"{s}^{n} tensor entries exceed the cap {TENSOR_CAP}")
         arr = _finite_array(data, "tensor")
         if arr.size != s ** n:
             raise ShapeMismatch(f"{arr.size} tensor entries for {s}^{n}")
-        arr = arr.reshape((s,) * n)
-        if stochastic:
-            if float(arr.min(initial=0.0)) < -1e-12:
-                raise CoalgebraError(f"negative tensor entry {arr.min()}")
-            if abs(float(arr.sum()) - 1.0) > 1e-10:
-                raise CoalgebraError(f"tensor mass {arr.sum()} is not 1")
-        arr.setflags(write=False)
+        # the probability rule sums the whole tensor in its memory layout, so
+        # a transposed push result is not copied again
+        arr = _probabilities(arr.reshape((s,) * n), "tensor", None, COLUMN_SUM_TOL)
         return LeafTensor(states, n, arr)
 
     @property
@@ -83,8 +80,8 @@ class LeafTensor:
 def duplicate_matrix(states: StateSpace, k: int) -> np.ndarray:
     """The diagonal embedding of one state axis into k axes, as a
     (size**k, size) matrix."""
-    if k < 1:
-        raise BadArity(f"duplication needs arity >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise BadArity(f"duplication needs an int arity >= 1, got {k!r}")
     s = states.size
     if s ** k > TENSOR_CAP:
         raise SizeCap(f"{s}^{k} exceeds the cap {TENSOR_CAP}")
@@ -110,9 +107,9 @@ def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
     s = g.size
     if s ** t.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
-    # The representative sorts children by lengths and shape alone, so
-    # relabelling leaves permutes tensor axes without changing a single
-    # bit of the entries.
+    # Children sort by lengths and shape alone, so relabelling leaves permutes
+    # the tensor axes; the entries agree to roundoff, not bitwise, since leaf
+    # labels order tied sibling subtrees and swapping them regroups the sums.
     rep, _, lens = t.shape.canonical("unordered", labels=t.length_map(),
                                      leaf_labels=False)
     # one transition matrix per distinct length of this tree
@@ -158,7 +155,7 @@ def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
     _check_same_states(g.states, f.states)
     if t.is_extended:
         raise NonFiniteTime("tree has infinite lengths; use evaluate_extended")
-    return LeafTensor.make(g.states, t.n, _push(t, g, f.p), stochastic=True)
+    return LeafTensor.make(g.states, t.n, _push(t, g, f.p))
 
 
 def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
@@ -166,13 +163,13 @@ def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
     """As ``evaluate``; edges of infinite length apply the equilibrium
     projector (cached per generator)."""
     _check_same_states(g.states, f.states)
-    return LeafTensor.make(g.states, t.n, _push(t, g, f.p), stochastic=True)
+    return LeafTensor.make(g.states, t.n, _push(t, g, f.p))
 
 
 def marginal(lt: LeafTensor, leaf: int) -> Distribution:
     """Distribution of one leaf: sum out every other leaf axis."""
-    if not 1 <= leaf <= lt.n:
-        raise IndexOutOfRange(f"leaf {leaf} not in 1..{lt.n}")
+    if isinstance(leaf, bool) or not isinstance(leaf, int) or not 1 <= leaf <= lt.n:
+        raise IndexOutOfRange(f"leaf {leaf!r} not in 1..{lt.n}")
     axes = tuple(j for j in range(lt.n) if j != leaf - 1)
     return Distribution.make(lt.states, lt.data.sum(axis=axes))
 

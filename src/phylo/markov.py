@@ -18,6 +18,7 @@ from .operads import PhyloTree, _length
 from .trees import PhyloError, record
 
 COLUMN_SUM_TOL = 1e-10
+DISTRIBUTION_SUM_TOL = 1e-12
 GENERATOR_SUM_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-12
 LIMIT_TOL = 1e-10
@@ -85,6 +86,24 @@ def _finite_array(a: Any, what: str) -> np.ndarray:
         raise ShapeMismatch(f"{what} is not a numeric array: {exc}") from exc
     if not np.isfinite(arr).all():
         raise MarkovError(f"{what} has a NaN or infinite entry")
+    return arr
+
+
+def _probabilities(arr: np.ndarray, what: str, axis: int | None,
+                   tol: float) -> np.ndarray:
+    """The probability rule on a fresh finite float array ``arr``: an entry
+    below -NEGATIVE_CLAMP or a sum (over ``axis``; None sums every entry)
+    more than ``tol`` from 1 raises MarkovError.  Roundoff negatives become
+    0, and the array is returned read-only."""
+    low = float(arr.min())
+    if low < -NEGATIVE_CLAMP:
+        raise MarkovError(f"{what} entry {low} is below the roundoff clamp")
+    if low < 0:
+        arr[arr < 0] = 0.0
+    dev = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+    if dev > tol:
+        raise MarkovError(f"{what} sum deviates from 1 by {dev}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -162,14 +181,8 @@ class StochasticMatrix:
         arr = _finite_array(M, "stochastic matrix")
         if arr.shape != (states.size, states.size):
             raise ShapeMismatch(f"matrix shape {arr.shape} vs {states.size} states")
-        if arr.min() < -NEGATIVE_CLAMP:
-            raise MarkovError(f"entry {arr.min()} below the roundoff clamp")
-        arr[arr < 0] = 0.0
-        dev = float(np.abs(arr.sum(axis=0) - 1.0).max())
-        if dev > COLUMN_SUM_TOL:
-            raise MarkovError(f"column sums deviate from 1 by {dev}")
-        arr.setflags(write=False)
-        return StochasticMatrix(states, arr)
+        return StochasticMatrix(states, _probabilities(
+            arr, "stochastic matrix column", 0, COLUMN_SUM_TOL))
 
     def apply(self, f: "Distribution") -> "Distribution":
         _check_same_states(self.states, f.states)
@@ -186,13 +199,8 @@ class Distribution:
         arr = _finite_array(p, "probability vector")
         if arr.shape != (states.size,):
             raise ShapeMismatch(f"vector shape {arr.shape} vs {states.size} states")
-        if arr.min() < -NEGATIVE_CLAMP:
-            raise MarkovError(f"negative probability {arr.min()}")
-        arr[arr < 0] = 0.0
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise MarkovError(f"probabilities sum to {arr.sum()}")
-        arr.setflags(write=False)
-        return Distribution(states, arr)
+        return Distribution(states, _probabilities(
+            arr, "probability vector", None, DISTRIBUTION_SUM_TOL))
 
     @staticmethod
     def uniform(states: StateSpace) -> "Distribution":

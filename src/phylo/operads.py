@@ -55,11 +55,11 @@ class MalformedLabelling(OperadError):
     pass
 
 
-class NotReduced(OperadError):
+class PhyloInvariantError(OperadError):
     pass
 
 
-class PhyloInvariantError(OperadError):
+class NotReduced(PhyloInvariantError):
     pass
 
 
@@ -94,9 +94,9 @@ class Operad:
         return self._arity(f)
 
     def compose(self, f: Any, i: int, g: Any) -> Any:
-        if not 1 <= i <= self.arity(f):
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.arity(f):
             raise LeafIndexOutOfRange(
-                f"slot {i} not in 1..{self.arity(f)} for {self.name}")
+                f"slot {i!r} not in 1..{self.arity(f)} for {self.name}")
         return self._compose(f, i, g)
 
     def act(self, f: Any, sigma: Sequence[int]) -> Any:
@@ -395,7 +395,7 @@ class PhyloTree:
             raise PhyloInvariantError("phylogenetic trees have at least one leaf")
         for v, kids in shape.children:
             if len(kids) < 2:
-                raise PhyloInvariantError(
+                raise NotReduced(
                     f"vertex {v} has arity {len(kids)}; 0- and 1-ary "
                     "vertices are not allowed")
         parent = shape.parent  # its keys are the nodes: every edge's source
@@ -407,7 +407,7 @@ class PhyloTree:
             if y is None:
                 raise PhyloInvariantError(f"edge out of {u} has bad length {x!r}")
             if y == 0 and u < 0 and parent[u] < 0:
-                raise PhyloInvariantError(
+                raise NotReduced(
                     f"internal edge out of {u} has length zero")
             lens[u] = y
         t = object.__new__(PhyloTree)
@@ -432,8 +432,8 @@ class PhyloTree:
         return self._rep_lengths[self._rep.root]
 
     def leaf_length(self, i: int) -> float:
-        if not 1 <= i <= self.n:
-            raise LeafIndexOutOfRange(f"leaf {i} not in 1..{self.n}")
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.n:
+            raise LeafIndexOutOfRange(f"leaf {i!r} not in 1..{self.n}")
         return self._rep_lengths[i]
 
     def external_lengths(self) -> tuple[float, ...]:
@@ -473,9 +473,8 @@ def unit_phylo(length: float = 0.0) -> PhyloTree:
 
 
 def to_phylo(w: WeightedTree) -> PhyloTree:
-    """Read a reduced weighted tree as a phylogenetic tree."""
-    if applicable_moves(w):
-        raise NotReduced("tree still admits rewrite moves; call normal_form")
+    """Read a reduced weighted tree as a phylogenetic tree; ``make`` raises
+    NotReduced for a unary vertex or a zero-length internal edge."""
     return PhyloTree.make(w.shape, w.length_map)
 
 

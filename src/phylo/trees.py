@@ -256,8 +256,8 @@ class PlanarTree:
         move below them.  Leaf i becomes inner's root, whose edge it is.
         """
         m, n = self.n, inner.n
-        if not 1 <= i <= m:
-            raise LeafIndexOutOfRange(f"leaf index {i} not in 1..{m}")
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= m:
+            raise LeafIndexOutOfRange(f"leaf index {i!r} not in 1..{m}")
         shift = min(self.vertices, default=0)
         into = {u: u + i - 1 for u in range(1, n + 1)}
         into.update((v, v + shift) for v in inner.vertices)

@@ -201,9 +201,6 @@ class MetricTree:
     def norm(self) -> float:
         return math.sqrt(sum(x * x for x in self.clusters.values()))
 
-    def is_binary(self) -> bool:
-        return all(self.tree.shape.arity(v) == 2 for v in self.tree.shape.vertices)
-
 
 def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
     """Metric tree from {cluster: positive length}."""
@@ -316,7 +313,8 @@ def orthant_of(m: MetricTree) -> OrthantPosition:
     fam = frozenset(m.clusters)
     axes = axis_order(fam)
     coords = tuple(m.clusters[c] for c in axes)
-    if m.is_binary():
+    # with no unary vertex, a tree is binary when it has n - 2 internal edges
+    if len(fam) == max(m.n - 2, 0):
         return OrthantPosition(axes, coords, Orthant(m.n, fam), ())
     adjacent = tuple(binary_resolutions(m.n, fam)) if m.n <= 7 else ()
     return OrthantPosition(axes, coords, None, adjacent)
@@ -446,7 +444,7 @@ class BasicOpenSet:
     radii: float = 1.0
 
     def __post_init__(self) -> None:
-        k = len(shape_clusters(self.base))
+        k = len(self.axes)
         e = len(self.base.external_edges)
         if any(self.base.arity(v) < 2 for v in self.base.vertices):
             raise TreeSpaceError("base topology cannot have unary vertices")
@@ -473,17 +471,13 @@ class BasicOpenSet:
 def neighborhood_contains(u: BasicOpenSet, z: PhyloTree) -> bool:
     if z.n != u.base.n:
         raise ArityMismatch(f"neighborhood is for {u.base.n}-leaf trees")
-    base_cl = shape_clusters(u.base)
     z_cl = cluster_lengths(z)
     if not all(map(_contains, u.external_windows, z.external_lengths())):
         return False
-    if frozenset(z_cl) == base_cl:
-        return all(_contains(u.internal_windows[i], z_cl[c])
-                   for i, c in enumerate(u.axes))
-    z_binary = all(z.shape.arity(v) == 2 for v in z.shape.vertices)
-    if not z_binary or not base_cl < frozenset(z_cl):
+    if not all(c in z_cl and _contains(w, z_cl[c])
+               for w, c in zip(u.internal_windows, u.axes)):
         return False
-    if not all(_contains(u.internal_windows[i], z_cl[c])
-               for i, c in enumerate(u.axes)):
-        return False
-    return all(0.0 < z_cl[c] < u.radii for c in z_cl.keys() - base_cl)
+    extra = z_cl.keys() - u.axes
+    # a strict refinement of the base must be binary: n - 2 internal edges
+    return not extra or len(z_cl) == max(z.n - 2, 0) and all(
+        0.0 < z_cl[c] < u.radii for c in extra)

@@ -150,6 +150,20 @@ class TestEvaluate:
             got = evaluate_operator(phylo_act(t, sigma), FLIP)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("text, tol", [
+        ("((1:0.125,2:0.375):0.75,(3:0.125,4:0.625):0.5):0.25;", 0.0),
+        ("((1:0.125,2:0.375):0.75,(3:0.125,4:0.375):0.75):0.25;", 1e-15),
+    ], ids=["no tie", "tied siblings"])
+    def test_equivariance_over_every_permutation(self, text, tol):
+        # leaf labels order tied sibling subtrees, so a permutation that
+        # swaps them regroups the sums: exact only without a tie
+        t = parse_newick(text)
+        op = evaluate_operator(t, FLIP).reshape((2,) * 4 + (2,))
+        for sigma in itertools.permutations(range(1, 5)):
+            want = np.transpose(op, tuple(s - 1 for s in sigma) + (4,))
+            got = evaluate_operator(phylo_act(t, sigma), FLIP)
+            assert np.abs(got - want.reshape(16, 2)).max() <= tol
+
     def test_well_defined_on_composition_routes(self):
         rng = random.Random(9)
         for _ in range(20):

@@ -8,22 +8,32 @@ input still refused inside ``make``; and a count of ``PlanarTree.canonical``
 calls that guards the mechanism.
 """
 
+import ast
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import phylo
 from conftest import balanced_newick, caterpillar
+from phylo.cli import main
 from phylo.newick import parse_newick, serialize_newick
 from phylo.operads import PhyloInvariantError, PhyloTree, phylo_act, phylo_compose
 from phylo.sampling import random_perm, random_shape
 from phylo.trees import PlanarTree, corolla
 from phylo.treespace import (
+    BasicOpenSet,
     MetricTree,
     bhv_distance,
     cluster_lengths,
     decompose,
+    metric_tree,
+    neighborhood_contains,
+    orthant_of,
     recompose,
+    tree_from_clusters,
 )
 
 # few distinct lengths, so siblings often tie on their length text
@@ -227,3 +237,81 @@ def test_distances_read_the_tree_as_built(canonical_calls):
     assert cluster_lengths(x.tree) == {0b00011: 1.0, 0b01100: 0.5}
     assert bhv_distance(x, y, "cone") == math.sqrt(1.25) + math.sqrt(1.0625)
     assert canonical_calls == []
+
+
+def test_orthants_and_neighborhoods_read_the_tree_as_built(canonical_calls):
+    binary = MetricTree(parse_newick("((1:0,2:0):1,((3:0,4:0):0.5,5:0):0.25):0;"))
+    wide = MetricTree(parse_newick("((1:0,2:0):1,(3:0,4:0):0.5,5:0):0;"))
+    assert orthant_of(binary).orthant is not None
+    assert orthant_of(wide).orthant is None and len(orthant_of(wide).adjacent) == 3
+    u = BasicOpenSet(tree_from_clusters(5, [0b00011]), ((0.5, 1.5),),
+                     ((-1.0, 0.5),) * 6)
+    assert neighborhood_contains(u, binary.tree)
+    assert not neighborhood_contains(u, wide.tree)
+    assert neighborhood_contains(u, metric_tree(5, {0b00011: 1.0}).tree)
+    assert canonical_calls == []
+
+
+CLI_FILES = {
+    "t.nwk": "(((1:0.5,2:0.25):1,3:0):2,(4:0.125,5:0.375):0.5):0.0625;",
+    "x.nwk": "((1:0,2:0):1,(3:0,4:0):0.5):0;",
+    "y.nwk": "((1:0,3:0):1,(2:0,4:0):0.25):0;",
+    "f.json": json.dumps({"metric": "((1:0,2:0):1,3:0):0;",
+                          "external": [0.5, 0.25, 0.0, 1.0]}),
+    "w.json": json.dumps({"length": 0, "children": [
+        {"length": 0.5, "children": [{"leaf": 1, "length": 0.5}]},
+        {"length": 0.25, "children": [{"leaf": 2, "length": 0},
+                                      {"leaf": 3, "length": 0.75}]}]}),
+    "H.json": json.dumps({"states": ["a", "b"],
+                          "rows": [[-1.0, 1.0], [1.0, -1.0]]}),
+    "p.json": json.dumps({"states": ["a", "b"], "p": [0.25, 0.75]}),
+}
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ("validate t.nwk", 0),
+    ("dist --mode exact4 x.nwk y.nwk", 0),
+    ("dist --mode cone x.nwk y.nwk", 0),
+    ("topologies --n 5", 0),
+    ("wcheck t.nwk", 0),
+    ("limit --model H.json", 0),
+    ("jc --mu 1 --k 4", 0),
+    ("canon t.nwk", 1),
+    ("compose --at 2 t.nwk x.nwk", 1),
+    ("act --perm 2,3,1,5,4 t.nwk", 1),
+    ("decompose t.nwk", 1),
+    ("recompose f.json", 1),
+    ("simulate --model H.json --root p.json --seed 3 --samples 20 t.nwk", 1),
+    # normal_form returns the canonical representative, then the tree prints
+    ("reduce w.json", 2),
+    # the label-free order of the push breaks ties by the labelled one
+    ("evaluate --model H.json --root p.json t.nwk", 2),
+], ids=lambda v: v.replace(" ", "_") if isinstance(v, str) else None)
+def test_canonical_calls_per_subcommand(canonical_calls, capsys, monkeypatch,
+                                        tmp_path, argv, calls):
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0, capsys.readouterr().err
+    assert len(canonical_calls) == calls
+
+
+def test_only_known_modules_read_the_stored_tree():
+    # PhyloTree keeps the tree as built in _rep and _rep_lengths.  Outside
+    # operads, cli counts its internal edges and treespace reads its
+    # clusters there; any other reader must be added here on purpose.
+    root = Path(phylo.__file__).resolve().parent.parent.parent
+    readers = set()
+    for path in sorted([*(root / "src" / "phylo").glob("*.py"),
+                        *(root / "perfbench").glob("*.py"),
+                        *(root / "scripts").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.value if isinstance(node, ast.Constant) else None
+            if name in ("_rep", "_rep_lengths"):
+                readers.add((path.relative_to(root).as_posix(), name))
+    assert {r for r in readers if r[0] != "src/phylo/operads.py"} == {
+        ("src/phylo/cli.py", "_rep"),
+        ("src/phylo/treespace.py", "_rep"),
+        ("src/phylo/treespace.py", "_rep_lengths"),
+    }

@@ -7,7 +7,10 @@ import pytest
 import scipy.linalg
 
 from conftest import expm_taylor
+from phylo.coalgebra import LeafTensor
 from phylo.markov import (
+    COLUMN_SUM_TOL,
+    DISTRIBUTION_SUM_TOL,
     BadAlphabet,
     BadRate,
     ColumnSumNonzero,
@@ -80,6 +83,67 @@ class TestValidateGenerator:
     def test_jukes_cantor_is_valid(self):
         g = jukes_cantor(0.7, 4)
         assert g.states.labels == ("A", "T", "C", "G")
+
+
+# constructor, a valid array, its sum tolerance, and the flat index of an
+# entry that shares a sum with entry 0
+PROBABILITY_RULE = {
+    "Distribution": (lambda a: Distribution.make(FLIP.states, a).p,
+                     [0.5, 0.5], DISTRIBUTION_SUM_TOL, 1),
+    "StochasticMatrix": (lambda a: StochasticMatrix.make(FLIP.states, a).M,
+                         [[0.5, 0.25], [0.5, 0.75]], COLUMN_SUM_TOL, 2),
+    "LeafTensor": (lambda a: LeafTensor.make(FLIP.states, 2, a).data,
+                   [[0.25, 0.125], [0.125, 0.5]], COLUMN_SUM_TOL, 1),
+}
+
+
+def perturbed(base, partner, first, shift=0.0):
+    """``base`` with entry 0 set to ``first`` and its mass moved to the
+    partner entry, then ``shift`` added to entry 0."""
+    arr = np.array(base, dtype=float)
+    flat = arr.reshape(-1)
+    flat[partner] += flat[0] - first
+    flat[0] = first + shift
+    return arr
+
+
+@pytest.mark.parametrize("kind", PROBABILITY_RULE)
+class TestProbabilityRule:
+    """One rule for every probability array: a NaN, an entry below
+    -NEGATIVE_CLAMP or a sum off by more than its tolerance is refused with
+    MarkovError; a roundoff negative becomes 0."""
+
+    def test_valid_array_is_read_only(self, kind):
+        make, base, _, _ = PROBABILITY_RULE[kind]
+        out = make(base)
+        assert np.array_equal(out, base) and not out.flags.writeable
+
+    def test_nan_refused(self, kind):
+        make, base, _, partner = PROBABILITY_RULE[kind]
+        with pytest.raises(MarkovError):
+            make(perturbed(base, partner, math.nan))
+
+    def test_entry_below_the_clamp_refused(self, kind):
+        make, base, _, partner = PROBABILITY_RULE[kind]
+        with pytest.raises(MarkovError, match="below the roundoff clamp"):
+            make(perturbed(base, partner, -1e-11))
+
+    def test_roundoff_negative_becomes_zero(self, kind):
+        make, base, _, partner = PROBABILITY_RULE[kind]
+        out = make(perturbed(base, partner, -1e-13))
+        assert out.reshape(-1)[0] == 0.0 and out.min() == 0.0
+
+    def test_sum_tolerance(self, kind):
+        make, base, tol, partner = PROBABILITY_RULE[kind]
+        first = np.array(base).reshape(-1)[0]
+        make(perturbed(base, partner, first, tol / 2))
+        with pytest.raises(MarkovError, match="deviates from 1"):
+            make(perturbed(base, partner, first, 2 * tol))
+
+    def test_wrong_shape_refused(self, kind):
+        make, base, _, _ = PROBABILITY_RULE[kind]
+        with pytest.raises(ShapeMismatch):
+            make(np.append(np.array(base).reshape(-1), 0.0))
 
 
 class TestExpm:

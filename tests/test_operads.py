@@ -390,6 +390,20 @@ class TestPhyloBijection:
         with pytest.raises(NotReduced):
             to_phylo(w)
 
+    @pytest.mark.parametrize("shape, lens, message", [
+        (make_tree(2, "u", {"u": ["f"], "f": [1, 2]}),
+         {1: 1.0, 2: 1.0, -1: 1.0, -2: 1.0}, "vertex -1 has arity 1"),
+        (make_tree(3, "a", {"a": ["b", 3], "b": [1, 2]}),
+         {1: 1.0, 2: 1.0, 3: 1.0, -1: 1.0, -2: 0.0},
+         "internal edge out of -2 has length zero"),
+    ], ids=["unary vertex", "zero internal edge"])
+    def test_make_is_the_one_reducedness_check(self, shape, lens, message):
+        with pytest.raises(NotReduced, match=message):
+            PhyloTree.make(shape, lens)
+        with pytest.raises(NotReduced, match=message):
+            to_phylo(WeightedTree.make(shape, lens))
+        assert issubclass(NotReduced, PhyloInvariantError)
+
     @pytest.mark.parametrize("u", [4, 0, -3, -99, 1.5, None, [1]])
     def test_length_of_a_non_node_refused(self, u):
         # 4 and 0 used to read the root's and leaf 3's lengths, -3 to raise

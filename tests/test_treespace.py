@@ -53,6 +53,25 @@ def fs(*xs):
     return sum(1 << (x - 1) for x in xs)
 
 
+def random_binary_clusters(rng, n):
+    """The internal clusters of a random binary tree on leaves 1..n, by
+    splitting each block of leaves in two."""
+    out, stack = [], [list(range(1, n + 1))]
+    while stack:
+        block = stack.pop()
+        rng.shuffle(block)
+        k = rng.randint(1, len(block) - 1)
+        for part in (block[:k], block[k:]):
+            if len(part) > 1:
+                out.append(fs(*part))
+                stack.append(part)
+    return out
+
+
+def arity_scan_binary(t):
+    return all(t.shape.arity(v) == 2 for v in t.shape.vertices)
+
+
 class TestDecompose:
     def test_already_metric_tree(self):
         m0 = random_metric(random.Random(1), 4)
@@ -151,6 +170,24 @@ class TestOrthants:
         assert len(pos.adjacent) == 3
         for o in pos.adjacent:
             assert fs(1, 2) in o.clusters
+
+    def test_count_rule_matches_the_arity_scan(self):
+        # with no unary vertex, a tree is binary exactly when it has
+        # max(n - 2, 0) internal edges
+        rng = random.Random(2003)
+        seen = set()
+        for k in range(4000):
+            n = rng.randint(1 if k % 2 else 2, 9)
+            if k % 2:
+                t = random_phylo(rng, n)
+            else:
+                fam = random_binary_clusters(rng, n)
+                fam = rng.sample(fam, rng.randint(len(fam) // 2, len(fam)))
+                t = metric_tree(n, {c: 0.5 for c in fam}).tree
+            binary = arity_scan_binary(t)
+            assert (len(cluster_lengths(t)) == max(n - 2, 0)) == binary
+            seen.add((n, binary))
+        assert {(n, b) for n in range(3, 10) for b in (False, True)} <= seen
 
     def test_binary_dimension_rule(self):
         for n in (2, 3, 4, 5):
@@ -413,6 +450,46 @@ class TestNeighborhoods:
             assert d < last
             last = d
             assert neighborhood_contains(self.base_set(2 * s), z.tree)
+
+    def test_membership_matches_the_arity_scan_reference(self):
+        # neighborhood_contains as it was, with the arity scan on z.shape
+        def reference(u, z):
+            base_cl = shape_clusters(u.base)
+            z_cl = cluster_lengths(z)
+            if not all(lo < x < hi for (lo, hi), x in
+                       zip(u.external_windows, z.external_lengths())):
+                return False
+            inside = all(lo < z_cl.get(c, -math.inf) < hi
+                         for (lo, hi), c in zip(u.internal_windows, u.axes))
+            if frozenset(z_cl) == base_cl:
+                return inside
+            if not arity_scan_binary(z) or not base_cl < frozenset(z_cl):
+                return False
+            return inside and all(0.0 < z_cl[c] < u.radii
+                                  for c in z_cl.keys() - base_cl)
+
+        rng = random.Random(2011)
+        window = lambda: (rng.choice((-1.0, 0.0, 0.5)), rng.choice((1.0, 3.0)))
+        answers = set()
+        for _ in range(3000):
+            n = rng.randint(2, 8)
+            full = random_binary_clusters(rng, n)
+            base = rng.sample(full, rng.randint(0, len(full)))
+            fam = rng.choice([base, full, rng.sample(full, rng.randint(0, len(full))),
+                              random_binary_clusters(rng, n)])
+            z = metric_tree(n, {c: rng.choice((0.25, 0.75, 2.0)) for c in fam}).tree
+            z = z.with_external([rng.choice((0.0, 0.125, 0.75))
+                                 for _ in z.external_lengths()])
+            u = BasicOpenSet(tree_from_clusters(n, base),
+                             tuple(window() for _ in base),
+                             tuple(window() for _ in range(n + 1)),
+                             radii=rng.choice((0.5, 1.0, 4.0)))
+            got = neighborhood_contains(u, z)
+            assert got == reference(u, z)
+            answers.add((len(fam) > len(base), len(fam) == n - 2, got))
+        # inside and outside, on the base topology and on binary refinements
+        assert {(False, False, True), (False, False, False),
+                (True, True, True), (True, True, False)} <= answers
 
     def test_window_shape_validation(self):
         with pytest.raises(TreeSpaceError):
