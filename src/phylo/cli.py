@@ -3,7 +3,7 @@
 Tree-valued results print as canonical Newick text; structured results
 print as JSON.  Diagnostics go to stderr.  Exit codes: 0 success, 1 bad
 input (a malformed command line included), 2 internal invariant
-violation, 3 numeric non-convergence.
+violation.
 
 Each command imports the layers it calls, so the tree-only commands start
 without numpy: only evaluate, limit, jc, simulate and wcheck load the Markov
@@ -311,7 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 1)
+        return 1
     except Exception as exc:  # noqa: BLE001 - invariant violation, report as a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -32,10 +32,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class PhyloError(ValueError):
-    """Base class of every error the package raises on bad input.
-    ``exit_code`` is the status the ``phylo`` command exits with."""
-
-    exit_code = 1
+    """Base class of every error the package raises on bad input; the
+    ``phylo`` command exits 1 on it."""
 
 
 class TreeError(PhyloError):

@@ -1,14 +1,45 @@
-"""The jump chain that ``phylo.markov._evolve`` replaced, kept as the oracle of
-the differential test in ``test_markov_differential``.
+"""Replaced and test-only Markov code, kept as oracles.
 
-Every round recomputes the moving samples over the whole batch and reads the
-jump kernel row by row from a table rebuilt on every call.  Nothing under
-``src/`` imports this module.
+``_evolve`` is the jump chain that ``phylo.markov._evolve`` replaced, the
+oracle of the differential test in ``test_markov_differential``.  Every round
+recomputes the moving samples over the whole batch and reads the jump kernel
+row by row from a table rebuilt on every call.
+
+``limit_by_doubling`` is the iteration that ``phylo.markov.limit_operator``
+replaced; it converges on well-mixed chains only.  ``semigroup_defect``
+measures the semigroup law of ``phylo.markov.expm``.
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from phylo.markov import MarkovGenerator, expm
+
+LIMIT_TOL = 1e-10
+MAX_DOUBLINGS = 64
+
+
+def limit_by_doubling(g: MarkovGenerator) -> np.ndarray:
+    """The infinite-time limit of exp(tH), by repeated squaring of the
+    time-1 matrix until the Cauchy increment is below LIMIT_TOL."""
+    M = np.array(expm(g, 1.0).M)
+    for _ in range(MAX_DOUBLINGS):
+        M2 = M @ M
+        gap = float(np.abs(M2 - M).sum(axis=1).max())
+        M = M2
+        if gap < LIMIT_TOL:
+            return M
+    raise ArithmeticError(f"doubling cap hit; last increment {gap}")
+
+
+def semigroup_defect(g: MarkovGenerator, s: float, t: float) -> float:
+    """Max-entry gap between exp((s+t)H) and exp(sH) exp(tH)."""
+    lhs = expm(g, s + t).M
+    rhs = expm(g, s).M @ expm(g, t).M
+    return float(np.abs(lhs - rhs).max())
 
 
 def _evolve(rng: np.random.Generator, H: np.ndarray, start: np.ndarray,

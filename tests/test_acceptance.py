@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import expm_taylor
+from markov_reference import limit_by_doubling, semigroup_defect
 from phylo.coalgebra import (
     duplicate_matrix,
     evaluate,
@@ -25,7 +26,6 @@ from phylo.markov import (
     expm,
     jukes_cantor,
     limit_operator,
-    semigroup_defect,
     simulate_branching,
     validate_generator,
 )
@@ -159,6 +159,7 @@ def test_c06_markov_analytics():
         h -= np.diag(h.sum(axis=0))
         g = validate_generator(h)
         assert semigroup_defect(g, rng.uniform(0, 3), rng.uniform(0, 3)) < 1e-10
+        assert np.abs(limit_operator(g).M - limit_by_doubling(g)).max() < 1e-12
 
     for _ in range(50):
         h = np.array([[rng.uniform(0, 1.0) for _ in range(4)] for _ in range(4)])
@@ -169,9 +170,11 @@ def test_c06_markov_analytics():
         t = rng.uniform(0, 2.0 / norm)
         assert np.abs(expm(g, t).M - expm_taylor(t * h)).max() < 1e-12
 
-    p = limit_operator(jukes_cantor(1.0, 4)).M
+    g = jukes_cantor(1.0, 4)
+    p = limit_operator(g).M
     assert np.abs(p - 0.25).max() < 1e-8
     assert np.abs(p @ p - p).sum(axis=1).max() < 1e-8
+    assert np.abs(p - limit_by_doubling(g)).max() < 1e-12
 
 
 @criterion("07 coalgebra laws", 30.0)
@@ -224,6 +227,7 @@ def test_c08_simulation_total_variation():
 def test_c09_infinite_time_extension():
     g = jukes_cantor(1.0, 4)
     p = np.asarray(limit_operator(g).M)
+    assert np.abs(p - limit_by_doubling(g)).max() < 1e-12
     f = Distribution.point(g.states, "A")
 
     t = parse_newick("((1:inf,2:inf):0.7,3:inf):inf;", allow_infinite=True)

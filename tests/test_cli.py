@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import phylo
-from conftest import balanced_newick, caterpillar_newick
+from conftest import balanced_newick, caterpillar_newick, random_reducible
 from phylo.cli import main
 from phylo.markov import expm, validate_generator
 from phylo.newick import parse_newick
@@ -274,18 +275,83 @@ class TestModelCommands:
         assert sum(doc["counts"]) == 500
 
 
+def two_state(a: float, b: float) -> dict:
+    """Rate a from state "a" to "b", and b back."""
+    return {"states": ["a", "b"], "rows": [[-a, b], [a, -b]]}
+
+
+# rates 1e6 into the middle state and 1e-6 out of it: pi is (1e-12, 1, 1e-12)
+# up to normalization
+STIFF = {"states": ["a", "b", "c"],
+         "rows": [[-1e6, 1e-6, 0.0], [1e6, -2e-6, 1e6], [0.0, 1e-6, -1e6]]}
+
+
+class TestLimitCommand:
+    """``limit`` and ``evaluate --extended`` on chains that mix slowly or
+    stiffly against time 1: every one exits 0 with nothing on stderr."""
+
+    def limit(self, capsys, tmp_path, doc) -> np.ndarray:
+        code, out, err = run(capsys, "limit", "--model",
+                             write(tmp_path, "H.json", json.dumps(doc)))
+        assert (code, err) == (0, "")
+        return np.array(json.loads(out)["rows"])
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_rate_sweep_is_exactly_one_half(self, capsys, tmp_path, k):
+        r = 10.0 ** k
+        assert (self.limit(capsys, tmp_path, two_state(r, r)) == 0.5).all()
+
+    def test_stiff_chain(self, capsys, tmp_path):
+        P = self.limit(capsys, tmp_path, STIFF)
+        want = np.array([1e-12, 1.0, 1e-12]) / (1 + 2e-12)
+        assert np.abs(P / want[:, None] - 1).max() < 1e-14
+
+    @pytest.mark.parametrize("fast", [0, 1])
+    def test_rates_at_the_ends_of_the_float_range(self, capsys, tmp_path, fast):
+        # the state that flows into the other at 1e300 keeps mass 1e-600,
+        # which is 0; a pi built before normalizing would overflow
+        rates = [1e300, 1e-300][::1 - 2 * fast]
+        P = self.limit(capsys, tmp_path, two_state(*rates))
+        want = np.zeros((2, 2))
+        want[1 - fast] = 1.0
+        assert np.array_equal(P, want)
+
+    def test_evaluate_extended_on_a_slow_chain(self, capsys, tmp_path,
+                                               uniform_root):
+        model = write(tmp_path, "H.json", json.dumps(two_state(1e-6, 1e-6)))
+        tree = write(tmp_path, "t.nwk", "(1:inf,2:1):0;")
+        code, out, err = run(capsys, "evaluate", "--model", model, "--root",
+                             uniform_root, "--extended", tree)
+        assert (code, err) == (0, "")
+        assert np.allclose(json.loads(out)["data"], 0.25, rtol=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "expm's column sums drift from 1 by about 5e-11 at t*r = 1e5, "
+        "1.3e-10 at 1e6: past the 1e-10 column tolerance"))
+    def test_evaluate_on_a_fast_chain(self, capsys, tmp_path, uniform_root):
+        model = write(tmp_path, "H.json", json.dumps(two_state(1e5, 1e5)))
+        tree = write(tmp_path, "t.nwk", "(1:1,2:1):0;")
+        assert run(capsys, "evaluate", "--model", model, "--root",
+                   uniform_root, tree)[0] == 0
+
+    def test_random_reducible_generators(self, tmp_path):
+        rng = random.Random(1)
+        # only infinite edges: expm's drift on fast chains is the xfail above
+        tree = write(tmp_path, "t.nwk", "((1:inf,2:inf):inf,3:inf):inf;")
+        for _ in range(300):
+            H = random_reducible(rng)
+            s = H.shape[0]
+            labels = [f"S{i}" for i in range(s)]
+            model = write(tmp_path, "H.json",
+                          json.dumps({"states": labels, "rows": H.tolist()}))
+            root = write(tmp_path, "f.json",
+                         json.dumps({"states": labels, "p": [1 / s] * s}))
+            assert exit_code("limit", "--model", model) == 0, H.tolist()
+            assert exit_code("evaluate", "--model", model, "--root", root,
+                             "--extended", tree) == 0, H.tolist()
+
+
 class TestErrorChannels:
-    def test_exit_three_on_nonconvergence(self, capsys, tmp_path, monkeypatch,
-                                          flip_model):
-        from phylo import markov
-
-        def boom(g):
-            raise markov.NoConvergence("stuck")
-
-        monkeypatch.setattr(markov, "limit_operator", boom)
-        code, _, err = run(capsys, "limit", "--model", flip_model)
-        assert code == 3 and "stuck" in err
-
     def test_exit_two_on_internal_error(self, capsys, tmp_path, monkeypatch,
                                         flip_model):
         from phylo import markov
@@ -307,7 +373,6 @@ class TestErrorChannels:
                         and c.__module__ == module.__name__]
         assert [c for c in classes if not issubclass(c, PhyloError)] == []
         assert issubclass(PhyloError, ValueError)
-        assert {c.__name__ for c in classes if c.exit_code != 1} == {"NoConvergence"}
 
 
 class TestOneLeafAndBadInputs:

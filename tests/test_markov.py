@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import expm_taylor
+from conftest import expm_taylor, random_reducible
+from markov_reference import limit_by_doubling, semigroup_defect
 from phylo.coalgebra import LeafTensor
 from phylo.markov import (
     COLUMN_SUM_TOL,
@@ -27,7 +28,6 @@ from phylo.markov import (
     expm,
     jukes_cantor,
     limit_operator,
-    semigroup_defect,
     simulate_branching,
     site_product,
     validate_generator,
@@ -46,6 +46,13 @@ def random_generator(rng, k=4, scale=1.0):
     return validate_generator(h)
 
 
+def uniform_rates(s, scale):
+    """s states with U(0, 1) rates from a fixed seed, times ``scale``."""
+    h = np.random.default_rng(s).random((s, s))
+    np.fill_diagonal(h, 0.0)
+    return (h - np.diag(h.sum(axis=0))) * scale
+
+
 class TestValidateGenerator:
     def test_symmetric_flip_valid(self):
         assert FLIP.size == 2
@@ -57,6 +64,29 @@ class TestValidateGenerator:
     def test_column_sums_checked(self):
         with pytest.raises(ColumnSumNonzero):
             validate_generator([[-1.0, 1.0], [0.9, -1.0]])
+
+    @pytest.mark.parametrize("rows, valid", [
+        # exact decimal input, off by 8.7e-12 in absolute terms
+        ([[-123456.889, 0, 0], [123456.789, 0, 0], [0.1, 0, 0]], True),
+        # 1,000 states with U(0, 1) rates, each column off by about 1e-12
+        (uniform_rates(1000, 1.0), True),
+        # a small generator scaled up: its roundoff scales with it
+        (uniform_rates(4, 2.0 ** 40), True),
+        (uniform_rates(4, 2.0 ** -40), True),
+        # a leak as large as the column's own rates, however small
+        ([[-1e-13, 0.0], [0.0, 0.0]], False),
+        ([[-1.0, 0.0], [1.0 + 1e-11, 0.0]], False),
+        ([[-1.0, 0.0], [1.0 + 1e-15, 0.0]], True),
+        (np.zeros((3, 3)), True),
+    ], ids=["decimal", "s1000", "scaled-up", "scaled-down", "tiny-leak",
+            "relative-leak", "roundoff", "zero"])
+    def test_column_sum_rule_is_relative(self, rows, valid):
+        """|sum_y H[y, x]| <= GENERATOR_SUM_TOL * sum_y |H[y, x]|."""
+        if valid:
+            validate_generator(rows)
+        else:
+            with pytest.raises(ColumnSumNonzero):
+                validate_generator(rows)
 
     def test_shape_checked(self):
         with pytest.raises(ShapeMismatch):
@@ -288,6 +318,50 @@ class TestLimitOperator:
     def test_cached_on_generator(self):
         g = jukes_cantor(2.0, 3)
         assert g.limit is g.limit
+
+    def test_transient_state_splits_exactly(self):
+        g = validate_generator([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, -3.0]])
+        p = limit_operator(g).M
+        assert np.array_equal(p, [[1.0, 0.0, 1 / 3], [0.0, 1.0, 2 / 3],
+                                  [0.0, 0.0, 0.0]])
+
+    def test_two_state_closed_form(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            a, b = 10.0 ** rng.uniform(-12, 12), 10.0 ** rng.uniform(-12, 12)
+            p = limit_operator(validate_generator([[-a, b], [a, -b]])).M
+            want = np.array([b, a]) / (a + b)
+            np.testing.assert_allclose(p, np.column_stack([want, want]),
+                                       rtol=1e-15, atol=0)
+
+    def test_laws_on_random_reducible_generators(self):
+        # H P = 0, P H = 0 and P^2 = P, each entry to roundoff relative to
+        # the sum of the magnitudes it is made of, and limit(c H) = limit(H)
+        # bitwise for c a power of 2
+        rng = random.Random(19)
+        for _ in range(300):
+            h = random_reducible(rng)
+            p = limit_operator(validate_generator(h)).M
+            assert (np.abs(h @ p) <= 1e-14 * (np.abs(h) @ p)).all()
+            assert (np.abs(p @ h) <= 1e-14 * (p @ np.abs(h))).all()
+            assert (np.abs(p @ p - p) <= 1e-14 * (p @ p)).all()
+            c = 2.0 ** rng.randint(-960, 960)
+            assert np.array_equal(limit_operator(validate_generator(c * h)).M, p)
+
+    def test_rare_exit_through_a_slow_rate(self):
+        # state 2 leaves only at rate 1e-300, to state 3, which goes on to
+        # state 1 with probability 1e-30: the rerouted rate, 1e-330, is
+        # below the float range, the rerouted jump probability is not
+        h = [[0.0, 0.0, 1e-30], [0.0, -1e-300, 1.0], [0.0, 1e-300, -1.0]]
+        p = limit_operator(validate_generator(h)).M
+        assert np.array_equal(p, [[1.0] * 3, [0.0] * 3, [0.0] * 3])
+
+    def test_agrees_with_doubling_on_well_mixed_generators(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_generator(rng, k=rng.randint(2, 8),
+                                 scale=10.0 ** rng.uniform(-1, 1))
+            assert np.abs(limit_operator(g).M - limit_by_doubling(g)).max() < 1e-12
 
 
 class TestJukesCantor:
