@@ -25,7 +25,8 @@ from .markov import (
     _check_same_states,
     _finite_array,
     _probabilities,
-    expm,
+    _transitions,
+    expm,  # not called here; the traced benchmark wraps coalgebra.expm by name
 )
 from .operads import PhyloTree, _length
 from .trees import PhyloError, record
@@ -112,9 +113,13 @@ def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
     # labels order tied sibling subtrees and swapping them regroups the sums.
     rep, _, lens = t.shape.canonical("unordered", labels=t.length_map(),
                                      leaf_labels=False)
-    # one transition matrix per distinct length of this tree
-    mats = {x: np.asarray(g.limit.M if math.isinf(x) else expm(g, x).M)
-            for x in set(lens.values())}
+    # one transition matrix per distinct length of this tree, the finite
+    # ones from one checked stack
+    distinct = set(lens.values())
+    finite = [x for x in distinct if x < math.inf]
+    mats = dict(zip(finite, _transitions(g, finite))) if finite else {}
+    if math.inf in distinct:
+        mats[math.inf] = g.limit.M
     cur = mats[lens[rep.root]] @ start
     # the node of each axis of cur; n + 1 marks the column axis
     axes = [rep.root] + [t.n + 1] * (cur.ndim - 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import groupby
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -236,38 +237,91 @@ def _ps_table(m: int) -> np.ndarray:
 _PS_TABLES = tuple(_ps_table(m) for m in range(_series_degree(1.0) + 1))
 
 
+# most entries of one stacked product sequence: a batch holds at most
+# max(1, STACK_ENTRIES // s**2) matrices, so wide models run one at a time
+STACK_ENTRIES = 4096
+
+
 def _expm_core(A: np.ndarray) -> np.ndarray:
-    """Scaling and squaring: the norm of A fixes the squarings and the
-    series degree, and the series is evaluated by Paterson-Stockmeyer
-    (SIAM J. Comput. 2(1):60-66, 1973) in about 2 sqrt(degree) products."""
-    norm = float(np.abs(A).sum(axis=0).max())
-    if not norm < 2.0 ** 1000:
-        # also an infinite norm, where t * H overflowed
-        raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
-    # ceil(log2 norm), exactly, so that the scaled norm is at most 1
-    frac, exp = math.frexp(norm)
-    squarings = max(0, exp - (frac == 0.5))
-    scale = 2.0 ** squarings
-    B = A / scale
-    coef = _PS_TABLES[_series_degree(norm / scale)]
-    q = coef.shape[1]
-    s = A.shape[0]
+    """exp of each matrix of the stack A, shape (k, s, s), by scaling and
+    squaring: a matrix's norm fixes its squarings and its series degree, and
+    the series is evaluated by Paterson-Stockmeyer (SIAM J. Comput.
+    2(1):60-66, 1973) in about 2 sqrt(degree) products.  Matrices whose block
+    tables have one shape share one stacked product sequence, each with its
+    own coefficient rows, so each gets exactly the products, and the bits,
+    that it would get alone."""
+    k, s = A.shape[0], A.shape[1]
+    out = np.empty((k, s, s))
+    plans = []
+    for i, norm in enumerate(np.abs(A).sum(axis=1).max(axis=1).tolist()):
+        if not norm < 2.0 ** 1000:
+            # also an infinite norm, where t * H overflowed
+            raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
+        if norm == 0:
+            out[i] = np.eye(s)  # the degree-1 series gives exactly I
+            continue
+        # ceil(log2 norm), exactly, so that the scaled norm is at most 1
+        frac, exp = math.frexp(norm)
+        squarings = max(0, exp - (frac == 0.5))
+        m = _series_degree(norm / 2.0 ** squarings)
+        plans.append((_PS_TABLES[m].shape, squarings, m, i))
+    if len(plans) == k == 1:  # nothing to sort or scatter
+        return _expm_batch(A, plans)
+    # by table shape, then most squarings first, so that each squaring round
+    # of a batch runs on a prefix of it
+    plans.sort(key=lambda p: (p[0], -p[1]))
+    cap = max(1, STACK_ENTRIES // (s * s))
+    for _, run in groupby(plans, key=lambda p: p[0]):
+        run = list(run)
+        for j in range(0, len(run), cap):
+            idx = [p[3] for p in run[j:j + cap]]
+            out[idx] = _expm_batch(A[idx], run[j:j + cap])
+    return out
+
+
+def _expm_batch(A: np.ndarray, plans: list[tuple]) -> np.ndarray:
+    """exp of the matrices A, one for each (table shape, squarings, degree,
+    index) of ``plans``: the shapes agree, and the matrices that take the
+    most squarings come first."""
+    B = A / np.ldexp(1.0, [p[1] for p in plans]).reshape(-1, 1, 1)
+    coef = np.array([_PS_TABLES[p[2]] for p in plans])
+    c, rows, q = coef.shape
+    s = B.shape[1]
     # powers[i] = B^i for i < q
-    powers = np.empty((q, s, s))
+    powers = np.empty((q, c, s, s))
     powers[0] = np.eye(s)
     powers[1] = B
     for i in range(2, q):
         np.matmul(powers[i - 1], B, out=powers[i])
-    blocks = (coef @ powers.reshape(q, s * s)).reshape(-1, s, s)
-    # Horner in B^q over the blocks, highest first
     Bq = powers[q - 1] @ B
-    total = blocks[-1]
-    for block in blocks[-2::-1]:
+    blocks = coef @ powers.transpose(1, 0, 2, 3).reshape(c, q, s * s)
+    blocks = blocks.reshape(c, rows, s, s)
+    del powers, B  # free them before the products below
+    # Horner in B^q over the blocks, highest first
+    total = blocks[:, -1]
+    for j in range(rows - 2, -1, -1):
         total = total @ Bq
-        total += block
-    for _ in range(squarings):
-        total = total @ total
+        total += blocks[:, j]
+    # each round squares the first n matrices, those not yet squared enough
+    n = c
+    for r in range(plans[0][1]):
+        while plans[n - 1][1] <= r:
+            n -= 1
+        if n == c:
+            total = total @ total
+        else:
+            total[:n] = total[:n] @ total[:n]
     return total
+
+
+def _transitions(g: MarkovGenerator, times: Sequence[float]) -> np.ndarray:
+    """The transition matrices exp(tH) for a nonempty list of finite times
+    t >= 0, as one read-only stack of shape (len(times), s, s), checked once
+    by the rule and with the messages of ``StochasticMatrix.make``."""
+    stack = _expm_core(np.multiply.outer(times, g.H))
+    if not np.isfinite(stack).all():
+        raise MarkovError("stochastic matrix has a NaN or infinite entry")
+    return _probabilities(stack, "stochastic matrix column", 1, COLUMN_SUM_TOL)
 
 
 def expm(g: MarkovGenerator, t: float) -> StochasticMatrix:
@@ -277,7 +331,7 @@ def expm(g: MarkovGenerator, t: float) -> StochasticMatrix:
         raise NegativeTime(f"time {t!r} is not a number >= 0")
     if x == math.inf:
         raise NonFiniteTime("use limit_operator for the infinite-time matrix")
-    return StochasticMatrix.make(g.states, _expm_core(x * g.H))
+    return StochasticMatrix(g.states, _transitions(g, [x])[0])
 
 
 def limit_operator(g: MarkovGenerator) -> StochasticMatrix:

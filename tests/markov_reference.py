@@ -9,14 +9,26 @@ row by row from a table rebuilt on every call.
 replaced; it converges on well-mixed chains only.  ``semigroup_defect``
 measures the semigroup law of ``phylo.markov.expm``.
 
+``expm_one`` is the one-matrix scaling and squaring that the stacked
+``phylo.markov._expm_core`` replaced, the bitwise oracle of every slice of
+its stack.
+
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from phylo.markov import MarkovGenerator, expm
+from phylo.markov import (
+    _PS_TABLES,
+    MarkovGenerator,
+    SizeCap,
+    _series_degree,
+    expm,
+)
 
 LIMIT_TOL = 1e-10
 MAX_DOUBLINGS = 64
@@ -33,6 +45,40 @@ def limit_by_doubling(g: MarkovGenerator) -> np.ndarray:
         if gap < LIMIT_TOL:
             return M
     raise ArithmeticError(f"doubling cap hit; last increment {gap}")
+
+
+def expm_one(A: np.ndarray) -> np.ndarray:
+    """Scaling and squaring of one matrix: the norm of A fixes the squarings
+    and the series degree, and the series is evaluated by Paterson-Stockmeyer
+    in about 2 sqrt(degree) products."""
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not norm < 2.0 ** 1000:
+        # also an infinite norm, where t * H overflowed
+        raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
+    # ceil(log2 norm), exactly, so that the scaled norm is at most 1
+    frac, exp = math.frexp(norm)
+    squarings = max(0, exp - (frac == 0.5))
+    scale = 2.0 ** squarings
+    B = A / scale
+    coef = _PS_TABLES[_series_degree(norm / scale)]
+    q = coef.shape[1]
+    s = A.shape[0]
+    # powers[i] = B^i for i < q
+    powers = np.empty((q, s, s))
+    powers[0] = np.eye(s)
+    powers[1] = B
+    for i in range(2, q):
+        np.matmul(powers[i - 1], B, out=powers[i])
+    blocks = (coef @ powers.reshape(q, s * s)).reshape(-1, s, s)
+    # Horner in B^q over the blocks, highest first
+    Bq = powers[q - 1] @ B
+    total = blocks[-1]
+    for block in blocks[-2::-1]:
+        total = total @ Bq
+        total += block
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def semigroup_defect(g: MarkovGenerator, s: float, t: float) -> float:

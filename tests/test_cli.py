@@ -813,3 +813,27 @@ def test_benchmark_warmup_ops_run_and_check(workload):
                                    PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_runs_a_warmup_op_of_each_workload():
+    # the traced run wraps library functions by name (coalgebra.expm among
+    # them, which evaluate no longer calls) and measures their arguments and
+    # results, so a gone name or a changed signature fails here and not only
+    # in a traced run
+    code = ("import algebra, likelihood, spans\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "tracer.active = True\n"
+            "for workload in (algebra, likelihood):\n"
+            "    op = workload.warmup_ops()[0]\n"
+            "    tracer.begin_op(op.cls)\n"
+            "    op.check(op.run())\n"
+            "    tracer.end_op()\n"
+            "layers = spans.layer_metrics(tracer.totals())\n"
+            "assert layers['coalgebra.evaluate.calls'] == 1, layers\n")
+    path = os.pathsep.join([str(SRC), str(SRC.parent / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -32,6 +32,7 @@ from phylo.markov import (
     NonFiniteTime,
     SizeCap,
     StateSpace,
+    _transitions,
     expm,
     jukes_cantor,
     site_product,
@@ -246,32 +247,35 @@ class TestPushOracle:
             got = evaluate(t, g, f).data
             assert np.abs(got - brute_force(t, g, f)).max() < 1e-12
 
-    def test_one_expm_per_distinct_length(self, monkeypatch):
-        calls = []
+    def test_one_stack_per_push(self, monkeypatch):
+        builds = []
 
-        def counting(g, x):
-            calls.append(x)
-            return expm(g, x)
+        def recording(g, times):
+            builds.append(list(times))
+            return _transitions(g, times)
 
-        monkeypatch.setattr(coalgebra, "expm", counting)
+        monkeypatch.setattr(coalgebra, "_transitions", recording)
         g = jukes_cantor(1.0, 4)
         f = Distribution.uniform(g.states)
         t = parse_newick("((1:0.5,2:0.5):0.25,(3:0.5,4:0.25):0.5,5:1):0.25;")
         evaluate(t, g, f)
-        assert sorted(calls) == [0.25, 0.5, 1.0]
-        calls.clear()
         evaluate_operator(t, g)
-        assert sorted(calls) == [0.25, 0.5, 1.0]
-        calls.clear()
+        # one build per push, each distinct finite length exactly once
+        assert [sorted(b) for b in builds] == [[0.25, 0.5, 1.0]] * 2
+        builds.clear()
         t = parse_newick("((1:inf,2:0.5):0.5,3:inf):0.5;", allow_infinite=True)
         evaluate_extended(t, g, f)
-        assert calls == [0.5]
+        assert builds == [[0.5]]
+        builds.clear()
+        t = parse_newick("(1:inf,2:inf):inf;", allow_infinite=True)
+        evaluate_extended(t, g, f)
+        assert builds == []
 
     def test_size_cap_before_any_allocation(self, monkeypatch):
-        def refuse(g, x):
-            raise AssertionError("expm called past the cap")
+        def refuse(g, times):
+            raise AssertionError("transition matrices built past the cap")
 
-        monkeypatch.setattr(coalgebra, "expm", refuse)
+        monkeypatch.setattr(coalgebra, "_transitions", refuse)
         g = jukes_cantor(1.0, 4)
         f = Distribution.uniform(g.states)
         t = parse_newick("(((1:1,2:1):1,(3:1,4:1):1):1,((5:1,6:1):1,"
@@ -302,6 +306,16 @@ class TestPushOracle:
         p = expm(g, 0.125).M @ f.p
         want = expm(g, 0.25).M @ np.diag(p) @ expm(g, 0.5).M.T
         assert np.abs(got - want).max() < 1e-15
+        # a stack of 200-state matrices runs one matrix at a time
+        times = [0.125, 0.25, 0.5, 2.0, 8.0]
+        tracemalloc.start()
+        try:
+            stack = _transitions(g, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert all(np.array_equal(m, expm(g, t).M) for t, m in zip(times, stack))
 
 
 class TestMarginal:

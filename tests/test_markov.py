@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg
 
 from conftest import expm_taylor, random_reducible
-from markov_reference import limit_by_doubling, semigroup_defect
+from markov_reference import expm_one, limit_by_doubling, semigroup_defect
+from phylo import markov
 from phylo.coalgebra import LeafTensor
 from phylo.markov import (
+    _PS_TABLES,
     COLUMN_SUM_TOL,
     DISTRIBUTION_SUM_TOL,
     BadAlphabet,
@@ -25,6 +27,9 @@ from phylo.markov import (
     StateSpace,
     StateSpaceMismatch,
     StochasticMatrix,
+    _expm_core,
+    _series_degree,
+    _transitions,
     expm,
     jukes_cantor,
     limit_operator,
@@ -271,6 +276,88 @@ class TestExpmScipyOracle:
             assert np.abs(expm(g, 1.0).M - want).max() < 1e-12
 
 
+def stack_generator(rng, s, kind):
+    """An s-state rate matrix: dense U(0, 1) rates scaled by 10^U(-3, 3), a
+    site product of two 4-state ones (s = 16), or random_reducible's sparse
+    pattern, 30% of the rates present, each 10^U(-12, 12)."""
+    if kind == "sparse":
+        h = np.array([[10.0 ** rng.uniform(-12, 12)
+                       if x != y and rng.random() < 0.3 else 0.0
+                       for x in range(s)] for y in range(s)])
+        return h - np.diag(h.sum(axis=0))
+    if kind == "site_product":
+        return np.asarray(site_product(random_generator(rng, 4), 2).H)
+    return np.asarray(random_generator(rng, s, 10.0 ** rng.uniform(-3, 3)).H)
+
+
+def stack_plan(a):
+    """The squarings and block table shape the one-matrix reference picks."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    frac, exp = math.frexp(norm)
+    squarings = max(0, exp - (frac == 0.5))
+    return squarings, _PS_TABLES[_series_degree(norm / 2.0 ** squarings)].shape
+
+
+class TestExpmStack:
+    """Every slice of the stacked ``_expm_core`` against ``expm_one``, the
+    one-matrix core it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("s, kind", [
+        (2, "dense"), (3, "dense"), (4, "dense"), (16, "dense"),
+        (16, "site_product"), (2, "sparse"), (4, "sparse"), (16, "sparse")])
+    def test_slices_equal_the_one_matrix_core(self, s, kind):
+        rng = random.Random(f"{s} {kind}")
+        shapes, squarings = set(), set()
+        for _ in range(12):
+            h = stack_generator(rng, s, kind)
+            norm = float(np.abs(h).sum(axis=0).max()) or 1.0
+            times = [0.0] + [
+                rng.randint(0, 4096) / 1024 if r < 0.3
+                else 10.0 ** rng.uniform(-6, 2) if r < 0.8
+                # t * H with norm from 2^-40 up to near 2^1000
+                else 2.0 ** rng.uniform(-40, 999.9) / norm
+                for r in (rng.random() for _ in range(rng.randint(1, 40)))]
+            A = np.multiply.outer(times, h)
+            # hundreds of squarings blow the roundoff up past the float
+            # range; the bits must agree there too
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a, m in zip(A, _expm_core(A)):
+                    assert np.array_equal(m, expm_one(a), equal_nan=True)
+            plans = [stack_plan(a) for a in A]
+            shapes.update(p[1] for p in plans)
+            squarings.update(p[0] for p in plans)
+        assert len(shapes) >= 3 and len(squarings) >= 10
+
+    @pytest.mark.parametrize("big", [2.0 ** 998, 1e308])
+    def test_overflow_is_a_size_cap(self, big):
+        # norm 6 * 2^998 of t * H, past 2^1000; then an infinite one
+        g = jukes_cantor(1.0, 4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(SizeCap) as want:
+                expm_one(big * np.asarray(g.H))
+            with pytest.raises(SizeCap) as got:
+                _transitions(g, [0.5, big, 2.0])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [
+        [[math.nan, 0.5], [0.5, 0.5]], [[math.inf, 0.5], [0.5, 0.5]],
+        [[1.5, 0.5], [-0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5 + 1e-9]]])
+    def test_check_messages_are_those_of_stochastic_matrix(self, bad,
+                                                           monkeypatch):
+        good = np.asarray(expm(FLIP, 0.5).M)
+        with pytest.raises(MarkovError) as want:
+            StochasticMatrix.make(FLIP.states, bad)
+        monkeypatch.setattr(markov, "_expm_core",
+                            lambda A: np.array([good, bad, good]))
+        with pytest.raises(MarkovError) as got:
+            _transitions(FLIP, [0.5, 1.0, 2.0])
+        assert (type(got.value), str(got.value)) == (type(want.value),
+                                                     str(want.value))
+
+    def test_stack_is_read_only(self):
+        assert not _transitions(FLIP, [0.5, 1.0]).flags.writeable
+
+
 class TestSemigroup:
     def test_law_random(self):
         rng = random.Random(11)
@@ -355,6 +442,29 @@ class TestLimitOperator:
         h = [[0.0, 0.0, 1e-30], [0.0, -1e-300, 1.0], [0.0, 1e-300, -1.0]]
         p = limit_operator(validate_generator(h)).M
         assert np.array_equal(p, [[1.0] * 3, [0.0] * 3, [0.0] * 3])
+
+    @pytest.mark.xfail(strict=True, raises=(RuntimeWarning, MarkovError),
+                       reason="an escape probability below the float range "
+                       "becomes 0 and the elimination divides 0 by 0")
+    def test_escape_probability_below_the_float_range(self):
+        # draw 353 of random.Random(1) by random_reducible's recipe with
+        # every present rate 10^U(-150, 150), the first of 8 in 3,000 draws
+        # whose limit fails
+        h = np.array([
+            [0.0, 8.36255516417806e-31, 0.0, 1.7654233988474146e-121, 0.0,
+             4.770333223239854e-55],
+            [7.397303242568406e-128, 0.0, 0.0, 0.0, 4.981712144504997e+130,
+             5.0853040767522695e-130],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.227436961751166e-135],
+            [3.915887357879221e+94, 3.466997620892866e-110, 0.0, 0.0,
+             2.6218516663564262e-20, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 8.996011433579514e+52],
+            [0.0, 0.020505567473191395, 0.0, 0.0, 0.0, 0.0]])
+        h -= np.diag(h.sum(axis=0))
+        p = limit_operator(validate_generator(h)).M
+        assert (p >= 0).all()
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL
+        assert (np.abs(h @ p) <= 1e-14 * (np.abs(h) @ p)).all()
 
     def test_agrees_with_doubling_on_well_mixed_generators(self):
         rng = random.Random(23)
