@@ -181,10 +181,6 @@ class StochasticMatrix:
         return StochasticMatrix(states, _probabilities(
             arr, "stochastic matrix column", 0, COLUMN_SUM_TOL))
 
-    def apply(self, f: "Distribution") -> "Distribution":
-        _check_same_states(self.states, f.states)
-        return Distribution.make(self.states, self.M @ f.p)
-
 
 @record
 class Distribution:
@@ -255,7 +251,7 @@ def _expm_core(A: np.ndarray) -> np.ndarray:
     plans = []
     for i, norm in enumerate(np.abs(A).sum(axis=1).max(axis=1).tolist()):
         if not norm < 2.0 ** 1000:
-            # also an infinite norm, where t * H overflowed
+            # also an infinite norm, where t * H or its norm overflowed
             raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
         if norm == 0:
             out[i] = np.eye(s)  # the degree-1 series gives exactly I
@@ -318,7 +314,10 @@ def _transitions(g: MarkovGenerator, times: Sequence[float]) -> np.ndarray:
     """The transition matrices exp(tH) for a nonempty list of finite times
     t >= 0, as one read-only stack of shape (len(times), s, s), checked once
     by the rule and with the messages of ``StochasticMatrix.make``."""
-    stack = _expm_core(np.multiply.outer(times, g.H))
+    # t * H or its norm may overflow: an infinite norm, which _expm_core
+    # refuses with SizeCap
+    with np.errstate(over="ignore"):
+        stack = _expm_core(np.multiply.outer(times, g.H))
     if not np.isfinite(stack).all():
         raise MarkovError("stochastic matrix has a NaN or infinite entry")
     return _probabilities(stack, "stochastic matrix column", 1, COLUMN_SUM_TOL)

@@ -9,11 +9,11 @@ vertices with fewer than two children).  This module provides:
 * a small generic ``Operad`` interface with the built-in instances used
   throughout (one operation per arity; the additive monoids of finite
   and of extended nonnegative lengths; planar trees; phylogenetic trees),
-* the free operad on a collection, realized as vertex-labelled trees,
-  with the counit that evaluates such a tree down to a single operation,
+* the free operad on an operad's operations, realized as vertex-labelled
+  trees, with the counit that evaluates such a tree down to a single
+  operation,
 * ``normal_form``, which takes any mixed vertex/edge-labelled tree to its
-  unique reduced form in one pass; the single moves (``applicable_moves``,
-  ``apply_move``) are the reference rewrite system it is checked against,
+  unique reduced form in one pass,
 * the bijection between normal forms and ``PhyloTree`` values,
 * ``_length``, the one rule for what a length is, which every reader of a
   length, time, rate or radius in the library calls.
@@ -100,14 +100,13 @@ class Operad:
         return self._compose(f, i, g)
 
     def act(self, f: Any, sigma: Sequence[int]) -> Any:
-        sigma = tuple(sigma)
-        invert_perm(sigma)
-        if len(sigma) != self.arity(f):
+        inv = invert_perm(sigma)  # reads sigma once: it may be an iterator
+        if len(inv) != self.arity(f):
             raise ArityLabelMismatch(
-                f"permutation of size {len(sigma)} on an operation of arity {self.arity(f)}")
+                f"permutation of size {len(inv)} on an operation of arity {self.arity(f)}")
         if self._act is None:
             return f
-        return self._act(f, sigma)
+        return self._act(f, invert_perm(inv))
 
 
 def _length(x: Any, allow_inf: bool) -> float | None:
@@ -172,45 +171,31 @@ PLANAR_TREES = Operad(
 )
 
 
-@record
-class Collection:
-    """Per-arity sets of operation labels with decidable membership."""
-
-    name: str
-    member: Callable[[Any, int], bool]
-
-
-def collection_of(operad: Operad) -> Collection:
-    """The underlying collection of an operad (labels with their arities)."""
-    return Collection(
-        operad.name,
-        lambda lab, k: operad.contains(lab) and operad.arity(lab) == k)
-
-
 # ---------------------------------------------------------------------------
-# the free operad on a collection: vertex-labelled trees
+# the free operad on an operad's operations: vertex-labelled trees
 # ---------------------------------------------------------------------------
 
-def check_ctree(col: Collection, t: LabelledTree) -> LabelledTree:
-    """Validate that every vertex label matches its arity in the collection."""
+def check_ctree(operad: Operad, t: LabelledTree) -> LabelledTree:
+    """Validate that every vertex label is an operation of ``operad`` of the
+    vertex's arity."""
     for v in t.shape.vertices:
-        if not col.member(t.label(v), t.shape.arity(v)):
+        lab, k = t.label(v), t.shape.arity(v)
+        if not (operad.contains(lab) and operad.arity(lab) == k):
             raise ArityLabelMismatch(
-                f"label {t.label(v)!r} is not a {col.name} operation "
-                f"of arity {t.shape.arity(v)}")
+                f"label {lab!r} is not a {operad.name} operation of arity {k}")
     return t
 
 
-def ctree(col: Collection, shape: PlanarTree,
+def ctree(operad: Operad, shape: PlanarTree,
           labels: Mapping[int, Any]) -> LabelledTree:
-    return check_ctree(col, LabelledTree.make(shape, labels))
+    return check_ctree(operad, LabelledTree.make(shape, labels))
 
 
-def free_compose(col: Collection, outer: LabelledTree, i: int,
+def free_compose(operad: Operad, outer: LabelledTree, i: int,
                  inner: LabelledTree) -> LabelledTree:
     """Partial composition in the free operad: grafting of labelled trees."""
-    check_ctree(col, outer)
-    check_ctree(col, inner)
+    check_ctree(operad, outer)
+    check_ctree(operad, inner)
     return outer.graft(i, inner)
 
 
@@ -220,7 +205,7 @@ def counit_eval(operad: Operad, t: LabelledTree) -> Any:
     Contracts every internal edge at once, then corrects for the leaf
     labelling; equals contracting them one at a time, in any order.
     """
-    check_ctree(collection_of(operad), t)
+    check_ctree(operad, t)
     if t.shape.root > 0:
         return operad.identity
     # Every vertex but the root is the source of an internal edge, and the
@@ -289,35 +274,6 @@ def _check_weighted(w: WeightedTree) -> None:
     for v in w.shape.vertices:
         if w.shape.arity(v) == 0:
             raise MalformedLabelling(f"vertex {v} has no children")
-
-
-def applicable_moves(w: WeightedTree) -> tuple[tuple[str, int], ...]:
-    """Rewrite moves available on ``w``: ("unary", v) removes the arity-1
-    vertex v, summing its two edge lengths; ("zero", v) contracts the
-    zero-length internal edge out of v, merging v into its parent."""
-    moves: list[tuple[str, int]] = []
-    for v in w.shape.vertices:
-        if w.shape.arity(v) == 1:
-            moves.append(("unary", v))
-        if w.shape.is_internal_edge(v) and w.length(v) == 0.0:
-            moves.append(("zero", v))
-    return tuple(moves)
-
-
-def apply_move(w: WeightedTree, move: tuple[str, int]) -> WeightedTree:
-    kind, v = move
-    lens = dict(w.length_map)
-    if kind == "unary":
-        (c,) = w.shape.child_map[v]
-        lens[c] = lens[c] + lens.pop(v)
-        kids = {x: tuple(c if y == v else y for y in cs)
-                for x, cs in w.shape.children if x != v}
-        root = c if w.shape.root == v else w.shape.root
-        return WeightedTree.make(PlanarTree(w.n, root, _freeze(kids)), lens)
-    if kind == "zero":
-        lens.pop(v)
-        return WeightedTree.make(w.shape.contract_edges((v,)), lens)
-    raise ValueError(f"unknown move {move!r}")
 
 
 def normal_form(w: WeightedTree) -> WeightedTree:
@@ -441,10 +397,6 @@ class PhyloTree:
         first, then the leaf edges 1..n not already listed."""
         lens = self._rep_lengths
         return tuple([lens[u] for u in self._rep.external_edges])
-
-    def internal_items(self) -> tuple[tuple[int, float], ...]:
-        return tuple((v, self.length(v))
-                     for v in self.shape.internal_edge_sources())
 
     @property
     def is_extended(self) -> bool:

@@ -401,16 +401,24 @@ def _freeze(kids: Mapping[int, Sequence[int]]) -> tuple[tuple[int, tuple[int, ..
     return tuple(sorted((v, tuple(cs)) for v, cs in kids.items()))
 
 
-def _inverse_perm(sigma: Sequence[int], n: int) -> dict[int, int]:
-    sig = tuple(sigma)
-    if sorted(sig) != list(range(1, n + 1)):
+def _inverse_perm(sigma: Sequence[int], n: int | None = None) -> dict[int, int]:
+    """The one permutation reader: k -> its position in ``sigma``, which
+    must be ints, not bools, permuting 1..n (n its length by default), or
+    PermutationSizeMismatch."""
+    try:
+        sig = tuple(sigma)
+    except TypeError:  # not iterable
+        raise PermutationSizeMismatch(f"{sigma!r} is not a permutation") from None
+    n = len(sig) if n is None else n
+    if (any(isinstance(x, bool) or not isinstance(x, int) for x in sig)
+            or sorted(sig) != list(range(1, n + 1))):
         raise PermutationSizeMismatch(
             f"{sig} is not a permutation of 1..{n}")
     return {sig[j]: j + 1 for j in range(n)}
 
 
 def invert_perm(sigma: Sequence[int]) -> tuple[int, ...]:
-    inv = _inverse_perm(sigma, len(tuple(sigma)))
+    inv = _inverse_perm(sigma)
     return tuple(inv[k] for k in range(1, len(inv) + 1))
 
 

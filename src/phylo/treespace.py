@@ -197,10 +197,6 @@ class MetricTree:
     def clusters(self) -> dict[int, float]:
         return cluster_lengths(self.tree)
 
-    @cached_property
-    def norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.clusters.values()))
-
 
 def metric_tree(n: int, lengths: Mapping[int, float]) -> MetricTree:
     """Metric tree from {cluster: positive length}."""
@@ -245,10 +241,6 @@ class Orthant:
             raise TreeSpaceError("not the cluster family of a binary topology")
         _cluster_nesting(self.n, self.clusters)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.clusters)
-
     @cached_property
     def axes(self) -> tuple[int, ...]:
         return axis_order(self.clusters)
@@ -268,10 +260,6 @@ class OrthantPosition:
     coords: tuple[float, ...]
     orthant: Orthant | None
     adjacent: tuple[Orthant, ...]
-
-    @property
-    def is_binary(self) -> bool:
-        return self.orthant is not None
 
 
 def enumerate_binary_topologies(n: int) -> list[Orthant]:
@@ -342,14 +330,15 @@ def enumerate_strata(n: int) -> dict[int, list[frozenset[int]]]:
 # the metric
 # ---------------------------------------------------------------------------
 
-def _common_orthant_distance(x: MetricTree, y: MetricTree) -> float | None:
-    """Euclidean distance in a shared orthant closure, or None when the two
-    cluster families are not jointly compatible."""
-    union = set(x.clusters) | set(y.clusters)
+def _common_orthant_distance(x: dict[int, float], y: dict[int, float]
+                             ) -> float | None:
+    """Euclidean distance of the cluster lengths ``x`` and ``y`` in a shared
+    orthant closure, or None when their families are not jointly
+    compatible."""
+    union = set(x) | set(y)
     if not is_laminar(union):
         return None
-    return math.sqrt(sum((x.clusters.get(c, 0.0) - y.clusters.get(c, 0.0)) ** 2
-                         for c in union))
+    return math.sqrt(sum((x.get(c, 0.0) - y.get(c, 0.0)) ** 2 for c in union))
 
 
 def _direction(m: MetricTree) -> dict[int, float]:
@@ -395,24 +384,36 @@ def bhv_distance(x: MetricTree, y: MetricTree, mode: str = "auto") -> float:
     * ``exact4``: the exact geodesic for n <= 4, via the cone law of
       cosines over the link graph (the unrolled quadrant sequence).
     * ``auto``: exact4 when n <= 4, else cone.
+
+    When the longest length lies past 2^500 or below 2^-500, where a square
+    would overflow or lose bits, every length is scaled by 2^-e first, e
+    its binary exponent, and the distance by 2^e last; a power of two
+    scales exactly.  A distance past the float range raises TreeSpaceError.
     """
     if x.n != y.n:
         raise ArityMismatch(f"cannot compare {x.n}-leaf and {y.n}-leaf trees")
     if mode == "auto":
         mode = "exact4" if x.n <= 4 else "cone"
-    common = _common_orthant_distance(x, y)
-    through_cone = x.norm + y.norm
+    e = math.frexp(max([*x.clusters.values(), *y.clusters.values()], default=0.0))[1]
+    e = 0 if -500 < e <= 500 else e
+    xc = {c: math.ldexp(v, -e) for c, v in x.clusters.items()}
+    yc = {c: math.ldexp(v, -e) for c, v in y.clusters.items()}
+    r1 = math.sqrt(sum(v * v for v in xc.values()))
+    r2 = math.sqrt(sum(v * v for v in yc.values()))
+    d = _common_orthant_distance(xc, yc)
     if mode == "cone":
-        return min(common, through_cone) if common is not None else through_cone
-    if mode != "exact4":
+        d = r1 + r2 if d is None else min(d, r1 + r2)
+    elif mode != "exact4":
         raise TreeSpaceError(f"unknown mode {mode!r}")
-    if x.n > 4:
+    elif x.n > 4:
         raise ExactUnsupported("exact geodesics are implemented for n <= 4 only")
-    if common is not None:
-        return common
-    angle = min(_link_distance(x, y), math.pi)
-    r1, r2 = x.norm, y.norm
-    return math.sqrt(max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(angle), 0.0))
+    elif d is None:
+        angle = min(_link_distance(x, y), math.pi)
+        d = math.sqrt(max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(angle), 0.0))
+    try:
+        return math.ldexp(d, e)
+    except OverflowError:
+        raise TreeSpaceError("the distance exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

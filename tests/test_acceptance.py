@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import expm_taylor
 from markov_reference import limit_by_doubling, semigroup_defect
+from operads_reference import applicable_moves, apply_move
 from phylo.coalgebra import (
     duplicate_matrix,
     evaluate,
@@ -33,8 +34,6 @@ from phylo.newick import parse_newick
 from phylo.operads import (
     PHYL,
     PhyloTree,
-    applicable_moves,
-    apply_move,
     normal_form,
     phylo_act,
     phylo_compose,

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,14 @@ class TestSpaceCommands:
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("mode", ["exact4", "cone", "auto"])
+    def test_dist_of_long_edges_is_a_number(self, capsys, tmp_path, mode):
+        # the squares of 1e200 overflowed: "NaN" or "Infinity", exit 0
+        x = write(tmp_path, "x.nwk", "(((1:0,2:0):1e200,3:0):1e200,4:0):0;")
+        y = write(tmp_path, "y.nwk", "(((1:0,3:0):1e200,2:0):1e200,4:0):0;")
+        code, out, _ = run(capsys, "dist", "--mode", mode, x, y)
+        assert code == 0 and 1e200 < json.loads(out)["distance"] < 1e201
+
     def test_dist_requires_metric_tree(self, capsys, tmp_path):
         x = write(tmp_path, "x.nwk", "((1:0.5,2:0):1,(3:0,4:0):1):0;")
         code, _, err = run(capsys, "dist", "--mode", "cone", x, x)
@@ -363,6 +372,35 @@ class TestErrorChannels:
             monkeypatch.setattr(markov, "limit_operator", boom)
             code, _, err = run(capsys, "limit", "--model", flip_model)
             assert code == 2 and "internal error" in err
+
+    # each must exit 1; the model files are the flip model and a uniform root
+    EXIT_ONE = {
+        "evaluate-overflow": ("evaluate --model H.json --root f.json t.nwk",
+                              {"t.nwk": "(1:1e308,2:1):0;"}),
+        "dist-past-the-float-range": (
+            "dist --mode cone x.nwk y.nwk",
+            {"x.nwk": "((1:0,2:0):1e308,3:0):0;",
+             "y.nwk": "((1:0,3:0):1e308,2:0):0;"}),
+        "jc-huge-rate": ("jc --mu 1e308 --k 3", {}),
+        "act-repeated-leaf": ("act --perm 1,1 t.nwk", {"t.nwk": "(1:0,2:0):0;"}),
+    }
+
+    @pytest.mark.parametrize("name", EXIT_ONE)
+    def test_exit_one_leaves_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                            name):
+        # no numpy warning or traceback beside the message: the evaluate
+        # case printed a RuntimeWarning and its source line first
+        argv, files = self.EXIT_ONE[name]
+        files = {"H.json": '{"states": ["a", "b"], "rows": [[-1, 1], [1, -1]]}',
+                 "f.json": '{"states": ["a", "b"], "p": [0.5, 0.5]}', **files}
+        for file, text in files.items():
+            write(tmp_path, file, text)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv.split())
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_every_error_class_is_a_phylo_error(self):
         classes = []

@@ -42,6 +42,7 @@ from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, phylo_act, phylo_compose, unit_phylo
 from phylo.sampling import random_perm, random_phylo
 from phylo.trees import corolla, invert_perm
+from phylo.treespace import cluster_lengths
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]], ("a", "b"))
 BITS = FLIP.states
@@ -396,7 +397,7 @@ class TestWMembership:
         c = phylo_compose(a, 2, b)
         assert w_membership(c)
         # the identified edge became internal with infinite length
-        assert any(math.isinf(x) for _, x in c.internal_items())
+        assert any(math.isinf(x) for x in cluster_lengths(c).values())
 
 
 class TestUnitIntervalMonoid:
@@ -453,10 +454,10 @@ class TestHomotopyRetract:
 
     def test_internal_lengths_fixed(self):
         t = self.tree()
-        internal = dict(t.internal_items())
+        internal = cluster_lengths(t)
         for s in (0.0, 0.3, 0.7, 1.0):
             out = homotopy_retract(t, s)
-            assert dict(out.internal_items()) == internal
+            assert cluster_lengths(out) == internal
 
     def test_linear_in_unit_coordinates(self):
         t = self.tree()

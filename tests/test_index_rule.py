@@ -1,7 +1,7 @@
-"""Every library entry point that reads a slot, a leaf index or an arity
-refuses anything but an int with its own ``PhyloError`` subclass: a float
-or a bool is never read as the int it equals, and nothing ends in a bare
-``KeyError`` or ``TypeError``."""
+"""Every library entry point that reads a slot, a leaf index, an arity or
+a permutation refuses anything but ints with its own ``PhyloError``
+subclass: a float or a bool is never read as the int it equals, and
+nothing ends in a bare ``KeyError`` or ``TypeError``."""
 
 import pytest
 
@@ -14,8 +14,14 @@ from phylo.coalgebra import (
 )
 from phylo.markov import Distribution, StateSpace
 from phylo.newick import parse_newick
-from phylo.operads import COM, PHYL, PLANAR_TREES, phylo_compose
-from phylo.trees import LeafIndexOutOfRange, corolla
+from phylo.operads import COM, PHYL, PLANAR_TREES, phylo_act, phylo_compose
+from phylo.trees import (
+    LabelledTree,
+    LeafIndexOutOfRange,
+    PermutationSizeMismatch,
+    corolla,
+    invert_perm,
+)
 
 A = parse_newick("(1:0.5,2:0.25):1;")
 B = parse_newick("(1:1,2:2):0.5;")
@@ -54,3 +60,38 @@ def test_a_non_int_index_is_refused(name, index):
 def test_an_int_index_is_read(name):
     read, _ = READERS[name]
     assert read(1) is not None and read(2) is not None
+
+
+C = parse_newick("((1:0,2:0.5):1,3:0.25):0;")
+
+# reader of a permutation of 1..3; each raises PermutationSizeMismatch on a
+# bad one
+PERM_READERS = {
+    "invert_perm": invert_perm,
+    "PlanarTree.permute_leaves": corolla(3).permute_leaves,
+    "PlanarTree.permute_children": lambda s: corolla(3).permute_children(-1, s),
+    "LabelledTree.permute_leaves":
+        LabelledTree.make(corolla(3), {-1: 3}).permute_leaves,
+    "phylo_act": lambda s: phylo_act(C, s),
+    "PHYL.act": lambda s: PHYL.act(C, s),
+    "COM.act": lambda s: COM.act(3, s),
+    "PLANAR_TREES.act": lambda s: PLANAR_TREES.act(corolla(3), s),
+}
+
+
+@pytest.mark.parametrize("sigma", [
+    (True, 2, 3), (2.0, 1.0, 3.0), (2, 1, 3.0), (None, 2, 3), ("2", "1", "3"),
+    (1, 1, 3), 5, None,
+], ids=repr)
+@pytest.mark.parametrize("name", PERM_READERS)
+def test_a_non_int_permutation_is_refused(name, sigma):
+    # (True, 2, 3), (2.0, 1.0, 3.0) and (2, 1, 3.0) were read as the ints
+    # they equal; (None, 2, 3) and 5 ended in a bare TypeError
+    with pytest.raises(PermutationSizeMismatch):
+        PERM_READERS[name](sigma)
+
+
+@pytest.mark.parametrize("name", PERM_READERS)
+def test_an_int_permutation_is_read(name):
+    read = PERM_READERS[name]
+    assert read((2, 3, 1)) is not None and read([1, 2, 3]) is not None

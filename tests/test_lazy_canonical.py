@@ -91,7 +91,6 @@ ACCESSORS = {
     "length": lambda t, e: [t.length(u) for u in e.shape.nodes],
     "length_map": lambda t, e: t.length_map(),
     "external_lengths": lambda t, e: t.external_lengths(),
-    "internal_items": lambda t, e: t.internal_items(),
     "leaf_length": lambda t, e: [t.leaf_length(i) for i in range(1, e.n + 1)],
     "root_length": lambda t, e: t.root_length,
     "is_extended": lambda t, e: t.is_extended,

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ class TestExpm:
             g = random_generator(rng, 3)
             p = np.array([rng.random() for _ in range(3)])
             f = Distribution.make(g.states, p / p.sum())
-            out = expm(g, rng.uniform(0, 5)).apply(f)
+            out = Distribution.make(f.states, expm(g, rng.uniform(0, 5)).M @ f.p)
             assert abs(float(out.p.sum()) - 1.0) < 1e-10
             assert float(out.p.min()) >= 0.0
 
@@ -338,6 +339,20 @@ class TestExpmStack:
             with pytest.raises(SizeCap) as got:
                 _transitions(g, [0.5, big, 2.0])
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("times", [[1e308], [0.5, 1e308]])
+    def test_overflow_is_a_size_cap_without_a_warning(self, times):
+        # t * H overflows under jukes_cantor(1, 4); under the flip model t * H
+        # is finite and its norm overflows.  Both printed a numpy
+        # RuntimeWarning on the way to SizeCap.
+        flip = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in (jukes_cantor(1.0, 4), flip):
+                with pytest.raises(SizeCap):
+                    _transitions(g, times)
+                with pytest.raises(SizeCap):
+                    expm(g, times[-1])
 
     @pytest.mark.parametrize("bad", [
         [[math.nan, 0.5], [0.5, 0.5]], [[math.inf, 0.5], [0.5, 0.5]],

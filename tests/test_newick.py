@@ -15,6 +15,7 @@ from phylo.newick import (
 from phylo.operads import PhyloInvariantError, PhyloTree, unit_phylo
 from phylo.sampling import random_phylo
 from phylo.trees import corolla, make_tree
+from phylo.treespace import cluster_lengths
 
 
 class TestParse:
@@ -25,7 +26,7 @@ class TestParse:
     def test_five_leaf_shape(self):
         t = parse_newick("((3:0,1:0):1.4,(4:0,5:0,2:0):1.3):0;")
         assert t.n == 5
-        assert sorted(x for _, x in t.internal_items()) == [1.3, 1.4]
+        assert sorted(cluster_lengths(t).values()) == [1.3, 1.4]
 
     def test_zero_internal_rejected(self):
         with pytest.raises(PhyloInvariantError):

@@ -14,7 +14,7 @@ from phylo.markov import (
     validate_generator,
 )
 from phylo.newick import parse_newick
-from phylo.operads import Collection, PhyloTree, WeightedTree
+from phylo.operads import PhyloTree, WeightedTree
 from phylo.trees import LabelledTree, PlanarTree, SourceNotBijective, corolla
 from phylo.treespace import (
     BasicOpenSet,
@@ -28,10 +28,6 @@ from phylo.treespace import (
 )
 
 
-def _any_label(label, k):
-    return True
-
-
 def _instances() -> dict[type, object]:
     tree = parse_newick("((1:0,2:0):1,3:0):0;")
     metric, external = decompose(parse_newick("((1:0.5,2:0):1,3:0.25):0.5;"))
@@ -41,7 +37,6 @@ def _instances() -> dict[type, object]:
     made = [
         corolla(3),
         LabelledTree.make(corolla(2), {-1: "f"}),
-        Collection("all", _any_label),
         WeightedTree.make(corolla(2), {1: 0.5, 2: 0.25, -1: 0.0}),
         tree,
         external,
@@ -59,7 +54,7 @@ def _instances() -> dict[type, object]:
 
 
 INSTANCES = _instances()
-CLASSES = [PlanarTree, LabelledTree, Collection, WeightedTree, PhyloTree,
+CLASSES = [PlanarTree, LabelledTree, WeightedTree, PhyloTree,
            ExternalLengths, MetricTree, Orthant, OrthantPosition, BasicOpenSet,
            StateSpace, MarkovGenerator, StochasticMatrix, Distribution, LeafTensor]
 

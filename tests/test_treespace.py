@@ -53,6 +53,10 @@ def fs(*xs):
     return sum(1 << (x - 1) for x in xs)
 
 
+def norm(m):
+    return math.hypot(*m.clusters.values())
+
+
 def random_binary_clusters(rng, n):
     """The internal clusters of a random binary tree on leaves 1..n, by
     splitting each block of leaves in two."""
@@ -154,19 +158,19 @@ class TestOrthants:
     def test_binary_tree_coordinates(self):
         x = metric_tree(4, {fs(1, 2): 1.0, fs(3, 4): 1.0})
         pos = orthant_of(x)
-        assert pos.is_binary
+        assert pos.orthant is not None
         assert pos.coords == (1.0, 1.0)
-        assert pos.orthant.dimension == 2
+        assert len(pos.orthant.clusters) == 2
         assert [leaves(c) for c in pos.axes] == [(1, 2), (3, 4)]
 
     def test_star_is_the_cone_point(self):
         pos = orthant_of(metric_tree(4, {}))
-        assert not pos.is_binary
+        assert pos.orthant is None
         assert len(pos.adjacent) == 15
 
     def test_single_edge_tree_meets_three_quadrants(self):
         pos = orthant_of(metric_tree(4, {fs(1, 2): 0.5}))
-        assert not pos.is_binary
+        assert pos.orthant is None
         assert len(pos.adjacent) == 3
         for o in pos.adjacent:
             assert fs(1, 2) in o.clusters
@@ -192,7 +196,7 @@ class TestOrthants:
     def test_binary_dimension_rule(self):
         for n in (2, 3, 4, 5):
             for o in enumerate_binary_topologies(n):
-                assert o.dimension == n - 2
+                assert len(o.clusters) == n - 2
 
 
 class TestClusters:
@@ -312,7 +316,7 @@ class TestBhvDistance:
         a = metric_tree(4, {fs(1, 2): 1.0, fs(3, 4): 1.0})
         b = metric_tree(4, {fs(1, 3): 1.0, fs(2, 4): 1.0})
         d = bhv_distance(a, b, "exact4")
-        assert d == pytest.approx(a.norm + b.norm, abs=1e-12)
+        assert d == pytest.approx(norm(a) + norm(b), abs=1e-12)
 
     def test_cone_upper_bound_and_symmetry(self):
         rng = random.Random(71)
@@ -380,6 +384,32 @@ class TestBhvDistance:
         with pytest.raises(ArityMismatch):
             bhv_distance(random_metric(random.Random(5), 3),
                          random_metric(random.Random(6), 4))
+
+    @pytest.mark.parametrize("x, y", [
+        ("(((1:0,2:0):{a},3:0):{a},4:0):0;", "(((1:0,3:0):{a},2:0):{a},4:0):0;"),
+        ("((1:0,2:0):{a},3:0):0;", "((1:0,3:0):{a},2:0):0;"),
+        ("(((1:0,2:0):{a},3:0):{b},4:0):0;", "(((1:0,2:0):{c},3:0):{a},4:0):0;"),
+    ], ids=["link", "cone-point", "common-orthant"])
+    @pytest.mark.parametrize("mode", ["exact4", "cone", "auto"])
+    def test_lengths_past_the_square_range(self, x, y, mode):
+        # squares of lengths from about 1.3e154 up overflowed, and the
+        # distance read NaN or Infinity; scaled by 2^600 it scales exactly
+        def pair(scale):
+            lens = {"a": scale, "b": scale / 2, "c": scale / 4}
+            return [MetricTree(parse_newick(t.format(**lens))) for t in (x, y)]
+
+        want = bhv_distance(*pair(1.0), mode)
+        assert math.ldexp(want, 600) == bhv_distance(*pair(2.0 ** 600), mode)
+
+    @pytest.mark.parametrize("mode", ["exact4", "cone", "auto"])
+    def test_a_distance_past_the_float_range_is_refused(self, mode):
+        x = MetricTree(parse_newick("((1:0,2:0):1e308,3:0):0;"))
+        y = MetricTree(parse_newick("((1:0,3:0):1e308,2:0):0;"))
+        with pytest.raises(TreeSpaceError, match="float range"):
+            bhv_distance(x, y, mode)
+        # norms past the range, a distance inside it
+        z = MetricTree(parse_newick("(((1:0,2:0):1.5e308,3:0):1.5e308,4:0):0;"))
+        assert bhv_distance(z, z, mode) == 0.0
 
     def test_grid_oracle_smoke(self):
         from gridoracle import GridComplex

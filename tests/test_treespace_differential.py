@@ -110,7 +110,7 @@ def test_orthant_positions_match():
         axes, coords, binary, adjacent = ref.orthant_of(m.tree)
         assert tuple(map(as_set, pos.axes)) == axes
         assert pos.coords == coords
-        assert (as_family(pos.orthant.clusters) if pos.is_binary else None) == binary
+        assert (as_family(pos.orthant.clusters) if pos.orthant else None) == binary
         assert [as_family(o.clusters) for o in pos.adjacent] == list(adjacent)
 
 
