@@ -69,7 +69,7 @@ class LeafTensor:
         if arr.size != s ** n:
             raise ShapeMismatch(f"{arr.size} tensor entries for {s}^{n}")
         # the probability rule sums the whole tensor in its memory layout, so
-        # a transposed push result is not copied again
+        # a transposed evaluation is not copied again
         arr = _probabilities(arr.reshape((s,) * n), "tensor", None, COLUMN_SUM_TOL)
         return LeafTensor(states, n, arr)
 
@@ -99,20 +99,20 @@ def duplicate(k: int, f: Distribution) -> LeafTensor:
     return LeafTensor.make(f.states, k, m @ f.p)
 
 
-def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
-    """Push ``start`` down the tree: evolve it along the root edge, then at
-    each vertex replace the vertex's state axis by one axis per child,
-    copying the state and evolving along each child edge.  ``start`` is a
-    vector (size,) or a matrix (size, m) whose columns are pushed alike;
-    the result has axes (leaf 1, ..., leaf n) and then the column axis."""
+def _evaluate(t: PhyloTree, g: MarkovGenerator, f: np.ndarray | None) -> np.ndarray:
+    """The joint leaf tensor from the root law ``f``, axes leaf 1..n; with
+    ``f`` None, the operator, with the root state as one more axis.
+
+    Felsenstein's pruning over ``t.shape``: a node's partial is the law of
+    the leaves below it given the state atop its edge, one row per tuple of
+    their states.  A leaf's is its edge's transition matrix, a vertex's its
+    children's entrywise product, in child order, times its edge's matrix.
+    At a binary vertex each entry is one float product, so swapping two
+    tied children moves entries and changes no bit."""
     s = g.size
     if s ** t.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
-    # Children sort by lengths and shape alone, so relabelling leaves permutes
-    # the tensor axes; the entries agree to roundoff, not bitwise, since leaf
-    # labels order tied sibling subtrees and swapping them regroups the sums.
-    rep, _, lens = t.shape.canonical("unordered", labels=t.length_map(),
-                                     leaf_labels=False)
+    shape, lens = t.shape, t.length_map()
     # one transition matrix per distinct length of this tree, the finite
     # ones from one checked stack
     distinct = set(lens.values())
@@ -120,39 +120,35 @@ def _push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
     mats = dict(zip(finite, _transitions(g, finite))) if finite else {}
     if math.inf in distinct:
         mats[math.inf] = g.limit.M
-    cur = mats[lens[rep.root]] @ start
-    # the node of each axis of cur; n + 1 marks the column axis
-    axes = [rep.root] + [t.n + 1] * (cur.ndim - 1)
-    for u in rep.preorder:
+    part: dict[int, np.ndarray] = {}
+    for u in reversed(shape.preorder):
         if u > 0:
+            part[u] = mats[lens[u]]
             continue
-        kids = rep.child_map[u]
-        p = axes.index(u)
-        if cur.size < s * s:
-            # The product tensor below would be larger than the result (at
-            # the root vertex of a vector push).  Move the vertex axis last,
-            # put in the child axes one at a time, then sum it out against
-            # the last child's matrix.
-            cur = np.moveaxis(cur, p, -1)
-            for c in kids[:-1]:
-                cur = cur[..., None, :] * mats[lens[c]]
-            cur = (cur.reshape(-1, s) @ mats[lens[kids[-1]]].T).reshape(cur.shape)
+        kids = shape.child_map[u]
+        # the root folds its law into its last child and sums that child
+        # out, so that nothing holds more than s**n entries
+        fold = u == shape.root and f is not None
+        p = part.pop(kids[0])
+        for c in kids[1:len(kids) - fold]:
+            p = np.einsum("av,bv->abv", p, part.pop(c)).reshape(-1, s)
+        if fold:
+            part[u] = p @ (part.pop(kids[-1]) * (mats[lens[u]] @ f)).T
         else:
-            # d[y_1, ..., y_k, v]: the product of the child edges' entries,
-            # with s**(k+1) entries, no more than the result's
-            d = mats[lens[kids[0]]]
-            for c in kids[1:]:
-                d = d[..., None, :] * mats[lens[c]]
-            cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
-        axes = axes[:p] + axes[p + 1:] + list(kids)
-    return np.transpose(cur, np.argsort(axes))
+            part[u] = p @ mats[lens[u]]
+    out = part[shape.root]
+    if f is not None and shape.root > 0:  # a one-leaf tree
+        out = out @ f
+    out = out.reshape((s,) * (t.n + (f is None)))
+    # axis j of out is the j-th leaf of t.shape's leaf order
+    return np.transpose(out, [*np.argsort(shape.leaf_order()), t.n][:out.ndim])
 
 
 def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
     """The tree as a matrix of shape (size**n, size): column x is the joint
     leaf tensor produced from the point distribution at state x."""
     s = g.size
-    return _push(t, g, np.eye(s)).reshape(s ** t.n, s)
+    return _evaluate(t, g, None).reshape(s ** t.n, s)
 
 
 def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
@@ -160,7 +156,7 @@ def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
     _check_same_states(g.states, f.states)
     if t.is_extended:
         raise NonFiniteTime("tree has infinite lengths; use evaluate_extended")
-    return LeafTensor.make(g.states, t.n, _push(t, g, f.p))
+    return LeafTensor.make(g.states, t.n, _evaluate(t, g, f.p))
 
 
 def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
@@ -168,7 +164,7 @@ def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
     """As ``evaluate``; edges of infinite length apply the equilibrium
     projector (cached per generator)."""
     _check_same_states(g.states, f.states)
-    return LeafTensor.make(g.states, t.n, _push(t, g, f.p))
+    return LeafTensor.make(g.states, t.n, _evaluate(t, g, f.p))
 
 
 def marginal(lt: LeafTensor, leaf: int) -> Distribution:

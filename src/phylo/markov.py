@@ -158,12 +158,16 @@ def validate_generator(H: Any, states: StateSpace | Sequence[str] | None = None
     off = arr[~np.eye(s, dtype=bool)]
     if off.size and off.min() < 0:
         raise NegativeOffDiagonal(f"min off-diagonal rate {off.min()}")
-    leak = np.abs(arr.sum(axis=0))
-    bad = np.flatnonzero(leak > GENERATOR_SUM_TOL * np.abs(arr).sum(axis=0))
+    # The rule is relative, so a column with an entry past 2**1000 is scaled
+    # by 2**-64 first, lest its sums overflow; other columns keep their bits.
+    scale = np.where(np.abs(arr).max(axis=0, initial=0.0) > 2.0 ** 1000,
+                     2.0 ** -64, 1.0)
+    leak = np.abs((arr * scale).sum(axis=0))
+    bad = np.flatnonzero(leak > GENERATOR_SUM_TOL * np.abs(arr * scale).sum(axis=0))
     if bad.size:
         raise ColumnSumNonzero(f"column {bad[0]} sum deviates from 0 by "
-                               f"{leak[bad[0]]}, more than {GENERATOR_SUM_TOL} "
-                               f"of its absolute sum")
+                               f"{float(leak[bad[0]]) / float(scale[bad[0]])}, "
+                               f"more than {GENERATOR_SUM_TOL} of its absolute sum")
     arr.setflags(write=False)
     return MarkovGenerator(space, arr)
 

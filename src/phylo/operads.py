@@ -454,7 +454,8 @@ def phylo_act(p: PhyloTree, sigma: Sequence[int]) -> PhyloTree:
     """Relabel leaves by the right action of ``sigma``."""
     inv = _inverse_perm(sigma, p.n)  # the leaf map of PlanarTree.permute_leaves
     lens = {inv.get(u, u): x for u, x in p._rep_lengths.items()}
-    return PhyloTree.make(p._rep.permute_leaves(sigma), lens,
+    # sigma is read once, so it may be an iterator: inv's keys run in its order
+    return PhyloTree.make(p._rep.permute_leaves(tuple(inv)), lens,
                           extended=p.is_extended)
 
 

@@ -320,19 +320,17 @@ class PlanarTree:
 
     def canonical(self, mode: str = "unordered",
                   labels: Mapping[int, Any] | None = None,
-                  leaf_labels: bool = True,
                   ) -> tuple["PlanarTree", str, dict[int, Any]]:
         """Canonical representative, its key string, and ``labels`` keyed
         by the representative's nodes.
 
         Two trees are in one isomorphism class of planar trees
         (mode="planar") or of plain rooted trees (mode="unordered") exactly
-        when their canonical keys agree.  A leaf's key is "L" and its number
-        (the number is left out when ``leaf_labels`` is false), a vertex's
-        key its children's keys in parentheses, each prefixed by
-        ``repr(labels[u]) + ":"`` for the nodes in ``labels``.  Unordered
-        mode sorts children by key text, stably.  Vertices are renumbered
-        -1, -2, ... in depth-first order.
+        when their canonical keys agree.  A leaf's key is "L" and its
+        number, a vertex's key its children's keys in parentheses, each
+        prefixed by ``repr(labels[u]) + ":"`` for the nodes in ``labels``.
+        Unordered mode sorts children by key text, stably.  Vertices are
+        renumbered -1, -2, ... in depth-first order.
         """
         if mode not in ("unordered", "planar"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -344,7 +342,7 @@ class PlanarTree:
         unordered = mode == "unordered"
         for u in reversed(self.preorder):
             if u > 0:
-                key = f"L{u}" if leaf_labels else "L"
+                key = f"L{u}"
             else:
                 kids = child_map[u]
                 if unordered:

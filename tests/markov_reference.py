@@ -13,6 +13,11 @@ measures the semigroup law of ``phylo.markov.expm``.
 ``phylo.markov._expm_core`` replaced, the bitwise oracle of every slice of
 its stack.
 
+``push`` is the top-down evaluation that the bottom-up
+``phylo.coalgebra._evaluate`` replaced, the oracle of its differential test
+in ``test_coalgebra``.  It grows one tensor from the root, one vertex at a
+time, in a child order keyed by lengths and shape alone.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -24,11 +29,15 @@ import numpy as np
 
 from phylo.markov import (
     _PS_TABLES,
+    TENSOR_CAP,
     MarkovGenerator,
     SizeCap,
     _series_degree,
+    _transitions,
     expm,
 )
+from phylo.operads import PhyloTree
+from phylo.trees import _preorder
 
 LIMIT_TOL = 1e-10
 MAX_DOUBLINGS = 64
@@ -115,3 +124,55 @@ def _evolve(rng: np.random.Generator, H: np.ndarray, start: np.ndarray,
             # the first state whose cumulative jump probability exceeds u
             targets = (cum[x[jump]] <= u[:, None]).sum(axis=1)
             x[jump] = np.minimum(targets, s - 1)
+
+
+def push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
+    """Push ``start`` down the tree: evolve it along the root edge, then at
+    each vertex replace the vertex's state axis by one axis per child,
+    copying the state and evolving along each child edge.  ``start`` is a
+    vector (size,) or a matrix (size, m) whose columns are pushed alike;
+    the result has axes (leaf 1, ..., leaf n) and then the column axis."""
+    s = g.size
+    if s ** t.n > TENSOR_CAP:
+        raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
+    shape, lens = t.shape, t.length_map()
+    # children sort stably by a key of lengths and shape alone, as the
+    # canonical key without leaf numbers
+    keys: dict[int, str] = {}
+    order: dict[int, list[int]] = {}
+    for u in reversed(shape.preorder):
+        if u < 0:
+            order[u] = sorted(shape.child_map[u], key=keys.__getitem__)
+        body = "L" if u > 0 else f"({','.join([keys[c] for c in order[u]])})"
+        keys[u] = f"{lens[u]!r}:{body}"
+    distinct = set(lens.values())
+    finite = [x for x in distinct if x < math.inf]
+    mats = dict(zip(finite, _transitions(g, finite))) if finite else {}
+    if math.inf in distinct:
+        mats[math.inf] = g.limit.M
+    cur = mats[lens[shape.root]] @ start
+    # the node of each axis of cur; n + 1 marks the column axis
+    axes = [shape.root] + [t.n + 1] * (cur.ndim - 1)
+    for u in _preorder(shape.root, order):
+        if u > 0:
+            continue
+        kids = order[u]
+        p = axes.index(u)
+        if cur.size < s * s:
+            # The product tensor below would be larger than the result (at
+            # the root vertex of a vector push).  Move the vertex axis last,
+            # put in the child axes one at a time, then sum it out against
+            # the last child's matrix.
+            cur = np.moveaxis(cur, p, -1)
+            for c in kids[:-1]:
+                cur = cur[..., None, :] * mats[lens[c]]
+            cur = (cur.reshape(-1, s) @ mats[lens[kids[-1]]].T).reshape(cur.shape)
+        else:
+            # d[y_1, ..., y_k, v]: the product of the child edges' entries,
+            # with s**(k+1) entries, no more than the result's
+            d = mats[lens[kids[0]]]
+            for c in kids[1:]:
+                d = d[..., None, :] * mats[lens[c]]
+            cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
+        axes = axes[:p] + axes[p + 1:] + list(kids)
+    return np.transpose(cur, np.argsort(axes))

@@ -373,16 +373,27 @@ class TestErrorChannels:
             code, _, err = run(capsys, "limit", "--model", flip_model)
             assert code == 2 and "internal error" in err
 
-    # each must exit 1; the model files are the flip model and a uniform root
+    # each must exit 1 with its own error; the model files are the flip
+    # model and a uniform root
     EXIT_ONE = {
         "evaluate-overflow": ("evaluate --model H.json --root f.json t.nwk",
-                              {"t.nwk": "(1:1e308,2:1):0;"}),
+                              {"t.nwk": "(1:1e308,2:1):0;"},
+                              "too large to exponentiate"),
         "dist-past-the-float-range": (
             "dist --mode cone x.nwk y.nwk",
             {"x.nwk": "((1:0,2:0):1e308,3:0):0;",
-             "y.nwk": "((1:0,3:0):1e308,2:0):0;"}),
-        "jc-huge-rate": ("jc --mu 1e308 --k 3", {}),
-        "act-repeated-leaf": ("act --perm 1,1 t.nwk", {"t.nwk": "(1:0,2:0):0;"}),
+             "y.nwk": "((1:0,3:0):1e308,2:0):0;"},
+            "exceeds the float range"),
+        "jc-huge-rate": ("jc --mu 1e308 --k 3", {}, "infinite entry"),
+        # its absolute column sums overflow, and ColumnSumNonzero must still
+        # see the leak
+        "limit-leak-past-the-float-range": (
+            "limit --model G.json",
+            {"G.json": '{"states": ["a", "b", "c"], "rows": '
+                       '[[-1e308, 0, 0], [1e308, 0, 0], [1e308, 0, 0]]}'},
+            "column 0 sum deviates from 0"),
+        "act-repeated-leaf": ("act --perm 1,1 t.nwk", {"t.nwk": "(1:0,2:0):0;"},
+                              "not a permutation"),
     }
 
     @pytest.mark.parametrize("name", EXIT_ONE)
@@ -390,7 +401,7 @@ class TestErrorChannels:
                                             name):
         # no numpy warning or traceback beside the message: the evaluate
         # case printed a RuntimeWarning and its source line first
-        argv, files = self.EXIT_ONE[name]
+        argv, files, message = self.EXIT_ONE[name]
         files = {"H.json": '{"states": ["a", "b"], "rows": [[-1, 1], [1, -1]]}',
                  "f.json": '{"states": ["a", "b"], "p": [0.5, 0.5]}', **files}
         for file, text in files.items():
@@ -401,6 +412,7 @@ class TestErrorChannels:
             code, out, err = run(capsys, *argv.split())
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert message in err
 
     def test_every_error_class_is_a_phylo_error(self):
         classes = []

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import markov_reference
 from phylo import coalgebra
 from phylo.coalgebra import (
     BadArity,
@@ -40,7 +41,7 @@ from phylo.markov import (
 )
 from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, phylo_act, phylo_compose, unit_phylo
-from phylo.sampling import random_perm, random_phylo
+from phylo.sampling import random_length, random_perm, random_phylo, random_shape
 from phylo.trees import corolla, invert_perm
 from phylo.treespace import cluster_lengths
 
@@ -152,19 +153,31 @@ class TestEvaluate:
             got = evaluate_operator(phylo_act(t, sigma), FLIP)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("text, tol", [
+    @pytest.mark.parametrize("text, vector_tol", [
         ("((1:0.125,2:0.375):0.75,(3:0.125,4:0.625):0.5):0.25;", 0.0),
-        ("((1:0.125,2:0.375):0.75,(3:0.125,4:0.375):0.75):0.25;", 1e-15),
-    ], ids=["no tie", "tied siblings"])
-    def test_equivariance_over_every_permutation(self, text, tol):
-        # leaf labels order tied sibling subtrees, so a permutation that
-        # swaps them regroups the sums: exact only without a tie
+        ("((1:0.125,2:0.375):0.75,(3:0.125,4:0.375):0.75):0.25;", 0.0),
+        ("(((1:0.125,2:0.375):0.75,(3:0.125,4:0.375):0.75):0.5,5:1):0.25;", 0.0),
+        ("((1:0.125,2:0.375):0.5,(3:0.125,4:0.125):0.5):0.25;", 1e-16),
+    ], ids=["no tie", "tied siblings", "tied below the root",
+            "labels order the root's children"])
+    def test_equivariance_over_every_permutation(self, text, vector_tol):
+        # each entry of a binary vertex's product is one float product, so
+        # swapping two children moves the operator's entries and changes no
+        # bit.  The vector folds the root law into the root's last child:
+        # where the leaf labels order two different children there, a
+        # relabelling regroups that product, to roundoff.
         t = parse_newick(text)
-        op = evaluate_operator(t, FLIP).reshape((2,) * 4 + (2,))
-        for sigma in itertools.permutations(range(1, 5)):
-            want = np.transpose(op, tuple(s - 1 for s in sigma) + (4,))
-            got = evaluate_operator(phylo_act(t, sigma), FLIP)
-            assert np.abs(got - want.reshape(16, 2)).max() <= tol
+        n = t.n
+        f = dist(0.3, 0.7)
+        op = evaluate_operator(t, FLIP).reshape((2,) * n + (2,))
+        vec = evaluate(t, FLIP, f).data
+        for sigma in itertools.permutations(range(1, n + 1)):
+            axes = tuple(s - 1 for s in sigma)
+            u = phylo_act(t, sigma)
+            assert np.array_equal(evaluate_operator(u, FLIP),
+                                  np.transpose(op, axes + (n,)).reshape(2 ** n, 2))
+            gap = np.abs(evaluate(u, FLIP, f).data - np.transpose(vec, axes)).max()
+            assert gap <= vector_tol
 
     def test_well_defined_on_composition_routes(self):
         rng = random.Random(9)
@@ -247,6 +260,31 @@ class TestPushOracle:
             t = random_phylo(rng, rng.randint(1, 3))
             got = evaluate(t, g, f).data
             assert np.abs(got - brute_force(t, g, f)).max() < 1e-12
+
+    def test_matches_the_top_down_push(self):
+        # the kernel against the one it replaced, on shapes with
+        # multifurcations, zero external lengths and, through
+        # evaluate_extended, infinite ones
+        rng = random.Random(43)
+        extended_trees = 0
+        for s, most in ((2, 7), (3, 7), (4, 7), (16, 4)):
+            for trial in range(60):
+                g = random_generator(rng, s)
+                f = random_root(rng, g.states)
+                shape = random_shape(rng, rng.randint(1, most))
+                extended = trial % 3 == 0
+                lens = {u: random_length(rng) if shape.is_internal_edge(u)
+                        else rng.choice((0.0, 0.0, random_length(rng),
+                                         math.inf if extended else 0.5))
+                        for u in shape.nodes}
+                t = PhyloTree.make(shape, lens, extended=extended)
+                read = evaluate_extended if t.is_extended else evaluate
+                got = read(t, g, f).data
+                assert np.abs(got - markov_reference.push(t, g, f.p)).max() <= 1e-15
+                want = markov_reference.push(t, g, np.eye(s)).reshape(s ** t.n, s)
+                assert np.abs(evaluate_operator(t, g) - want).max() <= 1e-15
+                extended_trees += t.is_extended
+        assert extended_trees > 40
 
     def test_one_stack_per_push(self, monkeypatch):
         builds = []

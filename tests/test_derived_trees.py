@@ -69,9 +69,8 @@ def test_canonical_representatives_revalidate(unary):
         lengths = {u: rng.choice((0.5, 1.0, 2.0)) for u in t.nodes}
         for mode in ("unordered", "planar"):
             for labels in (None, lengths):
-                for leaf_labels in (True, False):
-                    rep, _, _ = t.canonical(mode, labels, leaf_labels)
-                    assert_revalidates(rep)
+                rep, _, _ = t.canonical(mode, labels)
+                assert_revalidates(rep)
 
 
 @pytest.mark.parametrize("unary", [0.0, 0.2], ids=["no-unary", "unary"])

@@ -93,5 +93,7 @@ def test_a_non_int_permutation_is_refused(name, sigma):
 
 @pytest.mark.parametrize("name", PERM_READERS)
 def test_an_int_permutation_is_read(name):
+    # each reader reads sigma once, so an iterator is a permutation too
     read = PERM_READERS[name]
     assert read((2, 3, 1)) is not None and read([1, 2, 3]) is not None
+    assert read(iter((2, 3, 1))) == read((2, 3, 1))

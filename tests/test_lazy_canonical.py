@@ -14,11 +14,14 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phylo
 from conftest import balanced_newick, caterpillar
 from phylo.cli import main
+from phylo.coalgebra import evaluate, evaluate_extended, evaluate_operator
+from phylo.markov import Distribution, validate_generator
 from phylo.newick import parse_newick, serialize_newick
 from phylo.operads import PhyloInvariantError, PhyloTree, phylo_act, phylo_compose
 from phylo.sampling import random_perm, random_shape
@@ -126,6 +129,23 @@ def test_shuffled_twins_are_one_value():
         b = parse_newick(shuffled_newick(shape, lens, rng), extended)
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+
+def test_shuffled_twins_evaluate_to_the_same_bits():
+    # the evaluation reads the canonical representative, so the child order
+    # of the text moves no bit, ties among three or more siblings included
+    g = validate_generator([[-1.0, 0.5, 0.25], [0.75, -1.0, 0.75],
+                            [0.25, 0.5, -1.0]])
+    f = Distribution.make(g.states, [0.25, 0.5, 0.25])
+    rng = random.Random(17)
+    for shape, lens, extended in CASES:
+        if shape.n > 9:
+            continue
+        a = parse_newick(shuffled_newick(shape, lens, rng), extended)
+        b = parse_newick(shuffled_newick(shape, lens, rng), extended)
+        read = evaluate_extended if extended else evaluate
+        assert np.array_equal(read(a, g, f).data, read(b, g, f).data)
+        assert np.array_equal(evaluate_operator(a, g), evaluate_operator(b, g))
 
 
 def _collapsing(lens: dict, i: int, inner: PlanarTree,
@@ -283,8 +303,8 @@ CLI_FILES = {
     ("simulate --model H.json --root p.json --seed 3 --samples 20 t.nwk", 1),
     # normal_form returns the canonical representative, then the tree prints
     ("reduce w.json", 2),
-    # the label-free order of the push breaks ties by the labelled one
-    ("evaluate --model H.json --root p.json t.nwk", 2),
+    # the evaluation runs bottom-up over the canonical representative
+    ("evaluate --model H.json --root p.json t.nwk", 1),
 ], ids=lambda v: v.replace(" ", "_") if isinstance(v, str) else None)
 def test_canonical_calls_per_subcommand(canonical_calls, capsys, monkeypatch,
                                         tmp_path, argv, calls):

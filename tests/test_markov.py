@@ -84,8 +84,11 @@ class TestValidateGenerator:
         ([[-1.0, 0.0], [1.0 + 1e-11, 0.0]], False),
         ([[-1.0, 0.0], [1.0 + 1e-15, 0.0]], True),
         (np.zeros((3, 3)), True),
+        # near the float range, where the absolute sums overflow unscaled
+        ([[-1e308, 1e308], [1e308, -1e308]], True),
+        ([[-1e308, 0, 0], [1e308, 0, 0], [1e308, 0, 0]], False),
     ], ids=["decimal", "s1000", "scaled-up", "scaled-down", "tiny-leak",
-            "relative-leak", "roundoff", "zero"])
+            "relative-leak", "roundoff", "zero", "float-range", "float-range-leak"])
     def test_column_sum_rule_is_relative(self, rows, valid):
         """|sum_y H[y, x]| <= GENERATOR_SUM_TOL * sum_y |H[y, x]|."""
         if valid:
