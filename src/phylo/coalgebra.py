@@ -20,6 +20,7 @@ from .markov import (
     NonFiniteTime,
     TENSOR_CAP,
     ShapeMismatch,
+    STACK_ENTRIES,
     SizeCap,
     StateSpace,
     _check_same_states,
@@ -65,11 +66,11 @@ class LeafTensor:
         s = states.size
         if s ** n > TENSOR_CAP:
             raise SizeCap(f"{s}^{n} tensor entries exceed the cap {TENSOR_CAP}")
+        # a copy of ``data``, since the rule writes over what it checks;
+        # evaluate hands the rule its own buffer instead
         arr = _finite_array(data, "tensor")
         if arr.size != s ** n:
             raise ShapeMismatch(f"{arr.size} tensor entries for {s}^{n}")
-        # the probability rule sums the whole tensor in its memory layout, so
-        # a transposed evaluation is not copied again
         arr = _probabilities(arr.reshape((s,) * n), "tensor", None, COLUMN_SUM_TOL)
         return LeafTensor(states, n, arr)
 
@@ -99,6 +100,15 @@ def duplicate(k: int, f: Distribution) -> LeafTensor:
     return LeafTensor.make(f.states, k, m @ f.p)
 
 
+def _matmul_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a square b, written over a in blocks of STACK_ENTRIES
+    entries; a block's rows get the products one call would give them."""
+    step = max(1, STACK_ENTRIES // a.shape[1])
+    for i in range(0, a.shape[0], step):
+        a[i:i + step] = a[i:i + step] @ b
+    return a
+
+
 def _evaluate(t: PhyloTree, g: MarkovGenerator, f: np.ndarray | None) -> np.ndarray:
     """The joint leaf tensor from the root law ``f``, axes leaf 1..n; with
     ``f`` None, the operator, with the root state as one more axis.
@@ -108,7 +118,9 @@ def _evaluate(t: PhyloTree, g: MarkovGenerator, f: np.ndarray | None) -> np.ndar
     their states.  A leaf's is its edge's transition matrix, a vertex's its
     children's entrywise product, in child order, times its edge's matrix.
     At a binary vertex each entry is one float product, so swapping two
-    tied children moves entries and changes no bit."""
+    tied children moves entries and changes no bit.  A vertex's product is
+    a new array, multiplied by its edge's matrix where it lies, and the
+    result is one new buffer of its own size, the caller's to keep."""
     s = g.size
     if s ** t.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
@@ -120,28 +132,48 @@ def _evaluate(t: PhyloTree, g: MarkovGenerator, f: np.ndarray | None) -> np.ndar
     mats = dict(zip(finite, _transitions(g, finite))) if finite else {}
     if math.inf in distinct:
         mats[math.inf] = g.limit.M
+    root, n = shape.root, t.n
+    if root > 0:  # a one-leaf tree: its shared, read-only matrix
+        return mats[lens[root]] if f is None else mats[lens[root]] @ f
+    # a leaf's partial is its shared, read-only matrix and is never written
     part: dict[int, np.ndarray] = {}
     for u in reversed(shape.preorder):
         if u > 0:
             part[u] = mats[lens[u]]
             continue
         kids = shape.child_map[u]
-        # the root folds its law into its last child and sums that child
-        # out, so that nothing holds more than s**n entries
-        fold = u == shape.root and f is not None
         p = part.pop(kids[0])
-        for c in kids[1:len(kids) - fold]:
+        # the root's last child is left for the one product below
+        for c in kids[1:len(kids) - (u == root)]:
             p = np.einsum("av,bv->abv", p, part.pop(c)).reshape(-1, s)
-        if fold:
-            part[u] = p @ (part.pop(kids[-1]) * (mats[lens[u]] @ f)).T
-        else:
-            part[u] = p @ mats[lens[u]]
-    out = part[shape.root]
-    if f is not None and shape.root > 0:  # a one-leaf tree
-        out = out @ f
-    out = out.reshape((s,) * (t.n + (f is None)))
+        if u != root:
+            part[u] = _matmul_over(p, mats[lens[u]])
+    # the loop ends at the root: p is the product of its children but the
+    # last, x the last one's partial
+    x = part.pop(kids[-1])
+    if f is None:
+        # the operator: the last product is written straight in leaf-label
+        # order, axis leaf_order[i] - 1 for the i-th leaf of t.shape, so the
+        # (s**n, s) matrix needs no transposed copy
+        axes = [i - 1 for i in shape.leaf_order()]
+        k = sum(v > 0 for v in shape.preorder[:shape.preorder.index(kids[-1])])
+        out = np.einsum(p.reshape((s,) * (k + 1)), [*axes[:k], n],
+                        x.reshape((s,) * (n - k + 1)), [*axes[k:], n],
+                        [*range(n + 1)], order="C")
+        _matmul_over(out.reshape(-1, s), mats[lens[root]])
+        return out
+    # the root folds its law into its last child and sums that child out by
+    # one product p @ x.T, written over a factor of its shape: x where p is
+    # a leaf's s rows, p where x is
+    x = np.multiply(x, mats[lens[root]] @ f, out=x if kids[-1] < 0 else None)
+    if p.shape[0] == s:
+        out = _matmul_over(x, p.T).T
+    elif x.shape[0] == s:
+        out = _matmul_over(p, x.T)
+    else:
+        out = p @ x.T
     # axis j of out is the j-th leaf of t.shape's leaf order
-    return np.transpose(out, [*np.argsort(shape.leaf_order()), t.n][:out.ndim])
+    return out.reshape((s,) * n).transpose(np.argsort(shape.leaf_order()))
 
 
 def evaluate_operator(t: PhyloTree, g: MarkovGenerator) -> np.ndarray:
@@ -156,7 +188,10 @@ def evaluate(t: PhyloTree, g: MarkovGenerator, f: Distribution) -> LeafTensor:
     _check_same_states(g.states, f.states)
     if t.is_extended:
         raise NonFiniteTime("tree has infinite lengths; use evaluate_extended")
-    return LeafTensor.make(g.states, t.n, _evaluate(t, g, f.p))
+    # the pass's buffer is new and of the tensor's size, so the rule checks
+    # it where it lies
+    return LeafTensor(g.states, t.n, _probabilities(
+        _evaluate(t, g, f.p), "tensor", None, COLUMN_SUM_TOL))
 
 
 def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
@@ -164,7 +199,8 @@ def evaluate_extended(t: PhyloTree, g: MarkovGenerator,
     """As ``evaluate``; edges of infinite length apply the equilibrium
     projector (cached per generator)."""
     _check_same_states(g.states, f.states)
-    return LeafTensor.make(g.states, t.n, _evaluate(t, g, f.p))
+    return LeafTensor(g.states, t.n, _probabilities(
+        _evaluate(t, g, f.p), "tensor", None, COLUMN_SUM_TOL))
 
 
 def marginal(lt: LeafTensor, leaf: int) -> Distribution:

@@ -85,18 +85,27 @@ def _finite_array(a: Any, what: str) -> np.ndarray:
 
 def _probabilities(arr: np.ndarray, what: str, axis: int | None,
                    tol: float) -> np.ndarray:
-    """The probability rule on a fresh finite float array ``arr``: an entry
-    below -NEGATIVE_CLAMP or a sum (over ``axis``; None sums every entry)
-    more than ``tol`` from 1 raises MarkovError.  Roundoff negatives become
-    0, and the array is returned read-only."""
-    low = float(arr.min())
+    """The probability rule on a fresh float array ``arr``, written over:
+    a NaN or infinite entry, an entry below -NEGATIVE_CLAMP or a sum (over
+    ``axis``, each a column of ``what``; None sums every entry) more than
+    ``tol`` from 1 raises MarkovError.  Roundoff negatives become 0, and
+    the array is returned read-only."""
+    each = what if axis is None else f"{what} column"
+    # finite entries give a finite min and, unless their sum overflows, a
+    # finite sum, so only a non-finite one takes the full pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = float(arr.min())
+        if -NEGATIVE_CLAMP <= low < 0:
+            arr[arr < 0] = 0.0
+        total = arr.sum(axis=axis)
+    if not (math.isfinite(low) and np.isfinite(total).all()) \
+            and not np.isfinite(arr).all():
+        raise MarkovError(f"{what} has a NaN or infinite entry")
     if low < -NEGATIVE_CLAMP:
-        raise MarkovError(f"{what} entry {low} is below the roundoff clamp")
-    if low < 0:
-        arr[arr < 0] = 0.0
-    dev = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+        raise MarkovError(f"{each} entry {low} is below the roundoff clamp")
+    dev = float(np.abs(total - 1.0).max())
     if dev > tol:
-        raise MarkovError(f"{what} sum deviates from 1 by {dev}")
+        raise MarkovError(f"{each} sum deviates from 1 by {dev}")
     arr.setflags(write=False)
     return arr
 
@@ -183,7 +192,7 @@ class StochasticMatrix:
         if arr.shape != (states.size, states.size):
             raise ShapeMismatch(f"matrix shape {arr.shape} vs {states.size} states")
         return StochasticMatrix(states, _probabilities(
-            arr, "stochastic matrix column", 0, COLUMN_SUM_TOL))
+            arr, "stochastic matrix", 0, COLUMN_SUM_TOL))
 
 
 @record
@@ -322,9 +331,7 @@ def _transitions(g: MarkovGenerator, times: Sequence[float]) -> np.ndarray:
     # refuses with SizeCap
     with np.errstate(over="ignore"):
         stack = _expm_core(np.multiply.outer(times, g.H))
-    if not np.isfinite(stack).all():
-        raise MarkovError("stochastic matrix has a NaN or infinite entry")
-    return _probabilities(stack, "stochastic matrix column", 1, COLUMN_SUM_TOL)
+    return _probabilities(stack, "stochastic matrix", 1, COLUMN_SUM_TOL)
 
 
 def expm(g: MarkovGenerator, t: float) -> StochasticMatrix:

@@ -18,6 +18,11 @@ its stack.
 in ``test_coalgebra``.  It grows one tensor from the root, one vertex at a
 time, in a child order keyed by lengths and shape alone.
 
+``prune`` is the bottom-up pass of ``phylo.coalgebra._evaluate`` as it was
+before it wrote over its own partials: every step makes a new array, so a
+vertex holds its children's product and that product's image at once.  It
+is the bitwise oracle of the in-place pass.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -176,3 +181,39 @@ def push(t: PhyloTree, g: MarkovGenerator, start: np.ndarray) -> np.ndarray:
             cur = np.tensordot(cur, d, axes=([p], [len(kids)]))
         axes = axes[:p] + axes[p + 1:] + list(kids)
     return np.transpose(cur, np.argsort(axes))
+
+
+def prune(t: PhyloTree, g: MarkovGenerator, f: np.ndarray | None) -> np.ndarray:
+    """Felsenstein's pruning over ``t.shape``, one new array per step: the
+    joint leaf tensor from the root law ``f``, axes leaf 1..n, or with
+    ``f`` None the operator, with the root state as one more axis."""
+    s = g.size
+    if s ** t.n > TENSOR_CAP:
+        raise SizeCap(f"{s}^{t.n} tensor entries exceed the cap {TENSOR_CAP}")
+    shape, lens = t.shape, t.length_map()
+    distinct = set(lens.values())
+    finite = [x for x in distinct if x < math.inf]
+    mats = dict(zip(finite, _transitions(g, finite))) if finite else {}
+    if math.inf in distinct:
+        mats[math.inf] = g.limit.M
+    part: dict[int, np.ndarray] = {}
+    for u in reversed(shape.preorder):
+        if u > 0:
+            part[u] = mats[lens[u]]
+            continue
+        kids = shape.child_map[u]
+        # the root folds its law into its last child and sums that child out
+        fold = u == shape.root and f is not None
+        p = part.pop(kids[0])
+        for c in kids[1:len(kids) - fold]:
+            p = np.einsum("av,bv->abv", p, part.pop(c)).reshape(-1, s)
+        if fold:
+            part[u] = p @ (part.pop(kids[-1]) * (mats[lens[u]] @ f)).T
+        else:
+            part[u] = p @ mats[lens[u]]
+    out = part[shape.root]
+    if f is not None and shape.root > 0:  # a one-leaf tree
+        out = out @ f
+    out = out.reshape((s,) * (t.n + (f is None)))
+    # axis j of out is the j-th leaf of t.shape's leaf order
+    return np.transpose(out, [*np.argsort(shape.leaf_order()), t.n][:out.ndim])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -355,6 +356,99 @@ class TestPushOracle:
             tracemalloc.stop()
         assert peak < 8_000_000
         assert all(np.array_equal(m, expm(g, t).M) for t, m in zip(times, stack))
+
+
+# 9 leaves over 4 states: the root's big child first, the root's big child
+# last after a leaf, and a balanced root, the last two with leaf labels out
+# of t.shape's leaf order; with whether the root's first and last children
+# are leaves
+NINE_LEAVES = {
+    "big-first": ("((((((((1:0.125,2:0.25):0.125,3:0.375):0.125,4:0.5):0.125,"
+                  "5:0.625):0.125,6:0.75):0.125,7:0.875):0.125,8:1):0.125,"
+                  "9:1.125):0.25;", (False, True)),
+    "big-last": ("(5:0.0625,(9:0.125,(2:0.25,(7:0.375,(4:0.5,(1:0.625,"
+                 "(6:0.75,(3:0.875,8:1):0.125):0.125):0.125):0.125):0.125):"
+                 "0.125):0.5):0.25;", (True, False)),
+    "balanced": ("(((4:0.125,2:0.25):0.125,(3:0.375,1:0.5):0.125):0.125,"
+                 "((5:0.625,9:0.75):0.125,(7:0.875,(8:1,6:1.125):0.125):0.125):"
+                 "0.125):0.25;", (False, False)),
+}
+
+
+class TestOneBuffer:
+    """An evaluation holds one array of the result's size: each vertex's
+    partial is multiplied by its edge's matrix where it lies, the root's
+    product is written over a factor or straight into the result, and the
+    result is checked without a copy."""
+
+    def test_matches_the_copying_pass_bitwise(self):
+        # the pass that writes over its own partials against the one that
+        # made a new array per step, with tolerance 0: roots whose first or
+        # last child is a leaf, multifurcating roots, zero lengths and,
+        # through evaluate_extended, infinite ones
+        rng = random.Random(47)
+        seen = collections.Counter()
+        for s, most in ((2, 9), (3, 7), (4, 7), (16, 4)):
+            for trial in range(60):
+                g = random_generator(rng, s)
+                f = random_root(rng, g.states)
+                shape = random_shape(rng, rng.randint(1, most))
+                extended = trial % 3 == 0
+                lens = {u: random_length(rng) if shape.is_internal_edge(u)
+                        else rng.choice((0.0, random_length(rng),
+                                         math.inf if extended else 0.5))
+                        for u in shape.nodes}
+                t = PhyloTree.make(shape, lens, extended=extended)
+                want = markov_reference.prune(t, g, f.p)
+                assert np.array_equal(evaluate_extended(t, g, f).data, want)
+                if not t.is_extended:
+                    assert np.array_equal(evaluate(t, g, f).data, want)
+                want = markov_reference.prune(t, g, None).reshape(s ** t.n, s)
+                assert np.array_equal(evaluate_operator(t, g), want)
+                kids = t.shape.child_map.get(t.shape.root, ())
+                seen["leaf first"] += bool(kids) and kids[0] > 0
+                seen["leaf last"] += bool(kids) and kids[-1] > 0
+                seen["multifurcating root"] += len(kids) > 2
+                seen["infinite"] += t.is_extended
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("name", NINE_LEAVES)
+    def test_peak_is_below_1_3_outputs(self, name):
+        text, leaves = NINE_LEAVES[name]
+        t = parse_newick(text)
+        kids = t.shape.child_map[t.shape.root]
+        assert (kids[0] > 0, kids[-1] > 0) == leaves
+        g = jukes_cantor(1.0, 4)
+        f = random_root(random.Random(53), g.states)
+        for run, size in ((lambda: evaluate(t, g, f).data, 4 ** 9),
+                          (lambda: evaluate_operator(t, g), 4 ** 10)):
+            tracemalloc.start()
+            try:
+                out = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.size == size and peak < 1.3 * 8 * size
+
+    def test_shared_matrices_are_never_written(self):
+        g = jukes_cantor(1.0, 4)
+        f = random_root(random.Random(59), g.states)
+        limit = g.limit.M
+        before = limit.copy()
+        for text in ("((1:inf,2:0.5):0.5,(3:inf,4:inf):0.25):0.5;",
+                     "(1:inf,(2:inf,3:0.5):0.25):inf;", "(1:inf,2:inf):0.5;"):
+            t = parse_newick(text, allow_infinite=True)
+            lt = evaluate_extended(t, g, f)
+            evaluate_operator(t, g)
+            assert not lt.data.flags.writeable
+            assert g.limit.M is limit and not limit.flags.writeable
+            assert np.array_equal(limit, before)
+        # a one-leaf tree's operator is its edge's matrix itself
+        op = evaluate_operator(unit_phylo(0.5), g)
+        assert np.array_equal(op, expm(g, 0.5).M) and not op.flags.writeable
+        t = parse_newick("1:inf;", allow_infinite=True)
+        op = evaluate_operator(t, g)
+        assert np.shares_memory(op, limit) and not op.flags.writeable
 
 
 class TestMarginal:

@@ -159,8 +159,19 @@ class TestProbabilityRule:
 
     def test_nan_refused(self, kind):
         make, base, _, partner = PROBABILITY_RULE[kind]
-        with pytest.raises(MarkovError):
+        with pytest.raises(MarkovError, match="has a NaN or infinite entry"):
             make(perturbed(base, partner, math.nan))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_entry_refused(self, kind, bad):
+        make, base, _, partner = PROBABILITY_RULE[kind]
+        with pytest.raises(MarkovError, match="has a NaN or infinite entry"):
+            make(perturbed(base, partner, bad))
+
+    def test_finite_entries_whose_sum_overflows_refused(self, kind):
+        make, base, _, _ = PROBABILITY_RULE[kind]
+        with pytest.raises(MarkovError, match="sum deviates from 1 by inf"):
+            make(np.full_like(np.array(base), 1e308))
 
     def test_entry_below_the_clamp_refused(self, kind):
         make, base, _, partner = PROBABILITY_RULE[kind]
@@ -374,6 +385,22 @@ class TestExpmStack:
 
     def test_stack_is_read_only(self):
         assert not _transitions(FLIP, [0.5, 1.0]).flags.writeable
+
+
+@pytest.mark.parametrize("bad", [
+    [[math.nan, 0.5], [0.5, 0.5]], [[0.5, math.inf], [0.5, 0.5]],
+    [[-math.inf, 0.5], [0.5, 0.5]], [[1e308, 0.5], [1e308, 0.5]]])
+def test_stack_finiteness_is_read_from_the_rule(bad, monkeypatch):
+    # the rule sees a non-finite entry in its min or its sums and only then
+    # makes the full pass; finite entries whose sum overflows deviate by inf
+    good = np.asarray(expm(FLIP, 0.5).M)
+    monkeypatch.setattr(markov, "_expm_core", lambda A: np.array([good, bad]))
+    with pytest.raises(MarkovError) as got:
+        _transitions(FLIP, [0.5, 1.0])
+    want = ("stochastic matrix column sum deviates from 1 by inf"
+            if np.isfinite(bad).all() else
+            "stochastic matrix has a NaN or infinite entry")
+    assert type(got.value) is MarkovError and str(got.value) == want
 
 
 class TestSemigroup:
