@@ -207,8 +207,10 @@ def marginal(lt: LeafTensor, leaf: int) -> Distribution:
     """Distribution of one leaf: sum out every other leaf axis."""
     if isinstance(leaf, bool) or not isinstance(leaf, int) or not 1 <= leaf <= lt.n:
         raise IndexOutOfRange(f"leaf {leaf!r} not in 1..{lt.n}")
-    axes = tuple(j for j in range(lt.n) if j != leaf - 1)
-    return Distribution.make(lt.states, lt.data.sum(axis=axes))
+    # summed from one C-order copy, so equal entries in any memory layout
+    # (evaluate's buffer is laid out in its pruning order) give equal bits
+    rows = np.ascontiguousarray(np.moveaxis(lt.data, leaf - 1, 0))
+    return Distribution.make(lt.states, rows.reshape(lt.states.size, -1).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

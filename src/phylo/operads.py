@@ -22,7 +22,6 @@ vertices with fewer than two children).  This module provides:
 from __future__ import annotations
 
 import math
-import random
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
@@ -467,130 +466,3 @@ PHYL = Operad(
     contains=lambda t: isinstance(t, PhyloTree) and not t.is_extended,
     act=phylo_act,
 )
-
-
-# ---------------------------------------------------------------------------
-# law checking
-# ---------------------------------------------------------------------------
-
-def expand_outer_perm(sigma: Sequence[int], i: int, n: int) -> tuple[int, ...]:
-    """The block permutation with (f . sigma) o_i g = (f o_{sigma(i)} g) . result."""
-    sigma = tuple(sigma)
-    m = len(sigma)
-    si = sigma[i - 1]
-    out = []
-    for x in range(1, m + n):
-        if i <= x <= i + n - 1:
-            out.append(si + x - i)
-        else:
-            q = x if x < i else x - n + 1
-            sq = sigma[q - 1]
-            out.append(sq if sq < si else sq + n - 1)
-    return tuple(out)
-
-
-def expand_inner_perm(tau: Sequence[int], i: int, m: int) -> tuple[int, ...]:
-    """The block permutation with f o_i (g . tau) = (f o_i g) . result."""
-    tau = tuple(tau)
-    n = len(tau)
-    out = []
-    for x in range(1, m + n):
-        if i <= x <= i + n - 1:
-            out.append(i - 1 + tau[x - i])
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-class LawReport:
-    def __init__(self, law: str) -> None:
-        self.law = law
-        self.checked = 0
-        self.failures: list = []
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def operad_law_suite(operad: Operad,
-                     sample: Callable[[random.Random], Any],
-                     trials: int = 100,
-                     seed: int = 0) -> list[LawReport]:
-    """Property-check associativity, units, and equivariance on random draws.
-
-    ``sample`` draws a random operation of the instance.  Returns one report
-    per law, with counterexamples (the offending operands) on failure.
-    """
-    from .sampling import random_perm  # sampling imports this module
-    rng = random.Random(seed)
-    reports = {name: LawReport(name) for name in
-               ("associativity", "left unit", "right unit",
-                "equivariance outer", "equivariance inner")}
-
-    def draw_positive() -> Any:
-        for _ in range(1000):
-            f = sample(rng)
-            if operad.arity(f) >= 1:
-                return f
-        raise RuntimeError("sampler never produced an operation of arity >= 1")
-
-    def check(rep: LawReport, sides: Callable[[], tuple[Any, Any]],
-              witness: tuple) -> None:
-        # an exception while forming either side is itself a counterexample
-        try:
-            lhs, rhs = sides()
-            ok = lhs == rhs
-        except Exception as exc:  # noqa: BLE001
-            rep.failures.append(witness + (repr(exc),))
-            return
-        if not ok:
-            rep.failures.append(witness)
-
-    for _ in range(trials):
-        f, g, h = draw_positive(), draw_positive(), draw_positive()
-        m, n = operad.arity(f), operad.arity(g)
-        i = rng.randint(1, m)
-        j = rng.randint(1, n)
-        sigma = random_perm(rng, m)
-        tau = random_perm(rng, n)
-
-        rep = reports["associativity"]
-        rep.checked += 1
-        check(rep,
-              lambda: (operad.compose(operad.compose(f, i, g), i - 1 + j, h),
-                       operad.compose(f, i, operad.compose(g, j, h))),
-              ("nested", f, i, g, j, h))
-        if m >= 2:
-            i2 = rng.randint(1, m - 1)
-            j2 = rng.randint(i2 + 1, m)
-            check(rep,
-                  lambda: (operad.compose(operad.compose(f, i2, g), j2 + n - 1, h),
-                           operad.compose(operad.compose(f, j2, h), i2, g)),
-                  ("disjoint", f, i2, j2, g, h))
-
-        rep = reports["left unit"]
-        rep.checked += 1
-        check(rep, lambda: (operad.compose(operad.identity, 1, f), f), (f,))
-
-        rep = reports["right unit"]
-        rep.checked += 1
-        check(rep, lambda: (operad.compose(f, i, operad.identity), f), (f, i))
-
-        rep = reports["equivariance outer"]
-        rep.checked += 1
-        check(rep,
-              lambda: (operad.compose(operad.act(f, sigma), i, g),
-                       operad.act(operad.compose(f, sigma[i - 1], g),
-                                  expand_outer_perm(sigma, i, n))),
-              (f, sigma, i, g))
-
-        rep = reports["equivariance inner"]
-        rep.checked += 1
-        check(rep,
-              lambda: (operad.compose(f, i, operad.act(g, tau)),
-                       operad.act(operad.compose(f, i, g),
-                                  expand_inner_perm(tau, i, m))),
-              (f, i, g, tau))
-
-    return list(reports.values())

@@ -1,13 +1,16 @@
-"""Seeded random generators for trees, used by tests, law suites and the
-experiment scripts."""
+"""Seeded random generators for trees, used by the tests and the operad law
+suite.
+
+Nothing under ``src/`` imports this module.
+"""
 
 from __future__ import annotations
 
 import random
 
-from .operads import PhyloTree, WeightedTree
-from .trees import PlanarTree, _freeze
-from .treespace import MetricTree, metric_tree, node_clusters
+from phylo.operads import PhyloTree, WeightedTree
+from phylo.trees import PlanarTree, _freeze
+from phylo.treespace import MetricTree, metric_tree, node_clusters
 
 
 def random_shape(rng: random.Random, n: int) -> PlanarTree:

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import expm_taylor
 from markov_reference import limit_by_doubling, semigroup_defect
-from operads_reference import applicable_moves, apply_move
+from operads_reference import applicable_moves, apply_move, operad_law_suite
 from phylo.coalgebra import (
     duplicate_matrix,
     evaluate,
@@ -38,12 +38,6 @@ from phylo.operads import (
     phylo_act,
     phylo_compose,
 )
-from phylo.sampling import (
-    random_metric_on_grid,
-    random_perm,
-    random_phylo,
-    random_weighted,
-)
 from phylo.treespace import (
     BasicOpenSet,
     bhv_distance,
@@ -56,6 +50,12 @@ from phylo.treespace import (
     tree_from_clusters,
 )
 from phylo.trees import corolla
+from sampling import (
+    random_metric_on_grid,
+    random_perm,
+    random_phylo,
+    random_weighted,
+)
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]], ("a", "b"))
 
@@ -120,8 +120,6 @@ def test_c03_homeomorphism_factors():
 
 @criterion("04 operad laws", 10.0)
 def test_c04_operad_laws():
-    from phylo.operads import operad_law_suite
-
     reports = operad_law_suite(
         PHYL, lambda rng: random_phylo(rng, rng.randint(1, 5)),
         trials=500, seed=404)

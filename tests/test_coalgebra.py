@@ -42,9 +42,9 @@ from phylo.markov import (
 )
 from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, phylo_act, phylo_compose, unit_phylo
-from phylo.sampling import random_length, random_perm, random_phylo, random_shape
 from phylo.trees import corolla, invert_perm
 from phylo.treespace import cluster_lengths
+from sampling import random_length, random_perm, random_phylo, random_shape
 
 FLIP = validate_generator([[-1.0, 1.0], [1.0, -1.0]], ("a", "b"))
 BITS = FLIP.states
@@ -477,6 +477,32 @@ class TestMarginal:
                     length += t.length(u)
                 want = expm(FLIP, length).M @ f.p
                 assert np.abs(marginal(lt, leaf).p - want).max() < 1e-10
+
+    def test_equal_entries_in_any_layout_give_equal_bits(self):
+        # evaluate's buffer is laid out in its pruning order, so a marginal
+        # must not depend on the memory layout of the entries it sums
+        rng = random.Random(21)
+        tensors = []
+        for _ in range(30):
+            g = random_generator(rng, rng.randint(2, 4))
+            t = random_phylo(rng, rng.randint(2, 6))
+            tensors.append(evaluate(t, g, random_root(rng, g.states)))
+            s, n = rng.randint(2, 4), rng.randint(2, 7)
+            x = np.array([rng.random() for _ in range(s ** n)]).reshape((s,) * n)
+            tensors.append(LeafTensor.make(jukes_cantor(1.0, s).states, n, x / x.sum()))
+        layouts = 0
+        for lt in tensors:
+            perm = rng.sample(range(lt.n), lt.n)
+            for data in (np.ascontiguousarray(lt.data), np.asfortranarray(lt.data),
+                         np.ascontiguousarray(lt.data.transpose(perm))
+                         .transpose(np.argsort(perm))):
+                other = LeafTensor.make(lt.states, lt.n, data)
+                assert np.array_equal(other.data, lt.data)
+                layouts += other.data.strides != lt.data.strides
+                for leaf in range(1, lt.n + 1):
+                    want = marginal(lt, leaf).p
+                    assert marginal(other, leaf).p.tobytes() == want.tobytes()
+        assert layouts >= 100
 
     def test_bad_index(self):
         with pytest.raises(IndexOutOfRange):

@@ -24,7 +24,6 @@ from phylo.coalgebra import evaluate, evaluate_extended, evaluate_operator
 from phylo.markov import Distribution, validate_generator
 from phylo.newick import parse_newick, serialize_newick
 from phylo.operads import PhyloInvariantError, PhyloTree, phylo_act, phylo_compose
-from phylo.sampling import random_perm, random_shape
 from phylo.trees import PlanarTree, corolla
 from phylo.treespace import (
     BasicOpenSet,
@@ -38,6 +37,7 @@ from phylo.treespace import (
     recompose,
     tree_from_clusters,
 )
+from sampling import random_perm, random_shape
 
 # few distinct lengths, so siblings often tie on their length text
 LENGTHS = (0.25, 0.5, 0.75, 1.0, 1.5)

@@ -13,9 +13,9 @@ from phylo.newick import (
     serialize_newick,
 )
 from phylo.operads import PhyloInvariantError, PhyloTree, unit_phylo
-from phylo.sampling import random_phylo
 from phylo.trees import corolla, make_tree
 from phylo.treespace import cluster_lengths
+from sampling import random_phylo
 
 
 class TestParse:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from conftest import FORMAL, brute_force_isomorphic, caterpillar, formal_op
 from phylo.newick import serialize_newick
 from phylo.operads import PhyloTree, normal_form, phylo_act, phylo_compose, to_phylo
-from phylo.sampling import random_perm, random_phylo, random_shape, random_weighted
 from phylo.trees import (
     EmptyEdgeSet,
     TreeError,
@@ -29,6 +28,7 @@ from phylo.trees import (
     unit_tree,
     validate,
 )
+from sampling import random_perm, random_phylo, random_shape, random_weighted
 
 
 def seeds():

@@ -10,12 +10,6 @@ from hypothesis import given, strategies as st
 from conftest import caterpillar
 from phylo.newick import parse_newick
 from phylo.operads import PhyloTree, unit_phylo
-from phylo.sampling import (
-    random_metric,
-    random_metric_on_grid,
-    random_phylo,
-    random_shape,
-)
 from phylo.trees import make_tree, unit_tree
 from phylo.treespace import (
     ArityMismatch,
@@ -42,6 +36,12 @@ from phylo.treespace import (
     recompose,
     shape_clusters,
     tree_from_clusters,
+)
+from sampling import (
+    random_metric,
+    random_metric_on_grid,
+    random_phylo,
+    random_shape,
 )
 
 

@@ -7,7 +7,6 @@ import random
 import pytest
 
 import treespace_reference as ref
-from phylo.sampling import random_metric, random_metric_on_grid, random_shape
 from phylo.treespace import (
     TreeSpaceError,
     binary_resolutions,
@@ -21,6 +20,7 @@ from phylo.treespace import (
     shape_clusters,
     tree_from_clusters,
 )
+from sampling import random_metric, random_metric_on_grid, random_shape
 
 
 def as_set(c):
