@@ -335,13 +335,24 @@ def _transitions(g: MarkovGenerator, times: Sequence[float]) -> np.ndarray:
 
 
 def expm(g: MarkovGenerator, t: float) -> StochasticMatrix:
-    """The transition matrix exp(tH) for a finite time t >= 0."""
+    """The transition matrix exp(tH) for a time t in [0, inf]; at t = inf
+    it is the limit ``g.limit``, cached per generator."""
     x = _length(t, allow_inf=True)
     if x is None:
         raise NegativeTime(f"time {t!r} is not a number >= 0")
     if x == math.inf:
-        raise NonFiniteTime("use limit_operator for the infinite-time matrix")
+        return g.limit
     return StochasticMatrix(g.states, _transitions(g, [x])[0])
+
+
+# the exponent of 0: far below any sum of a few thousand float exponents
+_NO_EXPONENT = -(1 << 40)
+
+
+def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as mantissas in [0.5, 1) and int64 exponents, 0 as (0, _NO_EXPONENT)."""
+    m, e = np.frexp(x)
+    return m, np.where(m == 0, _NO_EXPONENT, e.astype(np.int64))
 
 
 def limit_operator(g: MarkovGenerator) -> StochasticMatrix:
@@ -355,7 +366,9 @@ def limit_operator(g: MarkovGenerator) -> StochasticMatrix:
     state its share of its class's stationary vector, and each transient
     state the mix of the columns it jumps to.  Only off-diagonal rates are
     read and nothing is subtracted, so slowly mixing and stiff chains keep
-    their relative accuracy."""
+    their relative accuracy; and every number is held as a mantissa and a
+    power of two, so that no product of jump probabilities, however
+    unlikely the path it stands for, leaves the float range."""
     s = g.size
     eye = np.eye(s, dtype=bool)
     rates = np.where(eye, 0.0, g.H)
@@ -374,29 +387,64 @@ def limit_operator(g: MarkovGenerator) -> StochasticMatrix:
     order = np.argsort(2 - kept - recurrent, kind="stable")
     m, r = int(kept.sum()), int(recurrent.sum())
     cls = np.where(recurrent, first, -1)[order]
-    # jump probabilities, not rates: a product of two never underflows
-    # unless the path it stands for is that unlikely
+    # jump probabilities, not rates, each held as a mantissa in [0.5, 1) and
+    # an int exponent, so that no product or sum of them leaves the float
+    # range; scaling by a power of two is exact, so every operation rounds
+    # as it would on the floats themselves wherever those stay normal
     exits = rates.sum(axis=0)[order]
     exits[exits == 0] = 1.0  # an absorbing state's column stays 0
-    A = rates[np.ix_(order, order)] / exits
+    (mr, er), (mx, ex) = _pairs(rates[order][:, order]), np.frexp(exits)
+    M, E = _pairs(mr / mx)
+    E += er - ex
+    # each eliminated column over its sum, as floats, and that sum, which is
+    # 2**top[k] times escape[k]
+    jump, escape = np.zeros((s, s)), np.ones(s)
+    top = np.zeros(s, dtype=np.int64)
     for k in range(s - 1, m - 1, -1):
-        A[:k, :k] += np.outer(A[:k, k] / A[:k, k].sum(), A[k, :k])
-    # the jump chain's stationary vector, kept normalized within each class
-    # so that it never overflows
-    nu = (np.arange(s) < m).astype(float)
+        top[k] = E[:k, k].max()
+        shift = E[:k, k] - top[k]
+        c = np.ldexp(M[:k, k], shift)
+        escape[k] = c.sum()
+        jump[:k, k] = c / escape[k]
+        pm = np.multiply.outer(M[:k, k] / escape[k], M[k, :k])
+        pe = np.add.outer(shift, E[k, :k])
+        most = np.maximum(E[:k, :k], pe)
+        # where both terms are 0, most is near _NO_EXPONENT and stays the
+        # exponent of the 0
+        M[:k, :k], d = np.frexp(np.ldexp(M[:k, :k], E[:k, :k] - most)
+                                + np.ldexp(pm, pe - most))
+        E[:k, :k] = most + d
+    # the jump chain's stationary vector, nm * 2**ne, kept normalized within
+    # each class so that no mantissa overflows
+    nm, ne = _pairs((np.arange(s) < m).astype(float))
     for k in range(m, r):
-        inflow, outflow = A[k, :k] @ nu[:k], A[:k, k].sum()
-        total = inflow + outflow
-        nu[cls == cls[k]] *= outflow / total
-        nu[k] = inflow / total
+        te = E[k, :k] + ne[:k]
+        a, b = int(te.max()), int(top[k])
+        # the flows into and out of state k are 2**a * inflow and
+        # 2**b * outflow
+        inflow = float(np.ldexp(M[k, :k], te - a) @ nm[:k])
+        outflow = float(escape[k])
+        most = max(a, b)
+        total = math.ldexp(inflow, a - most) + math.ldexp(outflow, b - most)
+        mine = cls == cls[k]
+        nm[mine] *= outflow / total
+        ne[mine] += b - most
+        nm[k], ne[k] = inflow / total, a - most
+        nm, d = np.frexp(nm)
+        ne += d
     # the process's stationary vector is nu / exits, normalized within each
-    # class; scaled by the class's least exit rate first, no ratio exceeds 1
+    # class: the mantissa nm times least / exit, with the class's least exit
+    # rate, and the exponent less the class's largest, so that no share
+    # overflows and one below the float range becomes 0
     same = cls[:r, None] == cls[None, :r]
-    w = nu[:r] * (np.where(same, exits[:r], np.inf).min(axis=1) / exits[:r])
+    ml, el = np.frexp(np.where(same, exits[:r], np.inf).min(axis=1))
+    x = ne[:r] + el - ex[:r]
+    x -= np.where(same, x, _NO_EXPONENT).max(axis=1)
+    w = np.ldexp(nm[:r] * (ml / mx[:r]), x)
     L = np.zeros((s, s))
     L[:r, :r] = same * (w / (same @ w))[:, None]
     for k in range(r, s):
-        L[:, k] = L[:, :k] @ (A[:k, k] / A[:k, k].sum())
+        L[:, k] = L[:, :k] @ jump[:k, k]
     P = np.empty((s, s))
     P[np.ix_(order, order)] = L
     return StochasticMatrix.make(g.states, P)

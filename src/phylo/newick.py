@@ -85,7 +85,10 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
             fits = closing and groups[-1] and (sep == ";") == (len(groups) == 1)
         else:
             fits = (sep == ";") == (not groups and not opens)
-        if not fits or (length == "inf" and not allow_infinite):
+        # only the token 'inf' is infinite: a decimal past the float range
+        # is an error, like 'inf' where it is not accepted
+        x = float(length)
+        if not fits or (x == math.inf and (length != "inf" or not allow_infinite)):
             _diagnose(text, pos, closing, groups, allow_infinite, most_digits)
         if close:
             children = groups.pop()
@@ -98,7 +101,7 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
             node = (int(leaf) if len(leaf) <= most_digits
                     else _long_label(leaf, most_digits))
             leaves.append(node)
-        lengths[node] = float(length)
+        lengths[node] = x
         pos = m.end()
         if sep == ",":
             groups[-1].append(node)
@@ -153,6 +156,8 @@ def _diagnose(text: str, pos: int, closing: bool, groups: list[list[int]],
         elif state == "length" and _NUMBER.fullmatch(tok):
             if tok == "inf" and not allow_infinite:
                 raise NewickSyntaxError("'inf' lengths are not accepted here", at)
+            if tok != "inf" and float(tok) == math.inf:
+                raise NewickSyntaxError("length exceeds the float range", at)
             state = "next" if groups else "last"
         elif state == "next" and tok == ",":
             groups[-1].append(0)  # only how many children a group has counts

@@ -258,9 +258,6 @@ class WeightedTree:
     def n(self) -> int:
         return self.shape.n
 
-    def length(self, u: int) -> float:
-        return self.length_map[u]
-
     def canonical(self) -> tuple["WeightedTree", str]:
         # renumbering the nodes keeps the lengths valid
         shape, key, lens = self.shape.canonical("unordered", labels=self.length_map)

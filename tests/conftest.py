@@ -66,11 +66,11 @@ def expm_taylor(a: np.ndarray, terms: int = 30) -> np.ndarray:
     return total
 
 
-def random_reducible(rng, s_max: int = 12) -> np.ndarray:
-    """Up to s_max states, 30% of the rates present, each 10^U(-12, 12): most
-    chains have several closed classes and transient states."""
+def random_reducible(rng, s_max: int = 12, span: float = 12) -> np.ndarray:
+    """Up to s_max states, 30% of the rates present, each 10^U(-span, span):
+    most chains have several closed classes and transient states."""
     s = rng.randint(1, s_max)
-    h = np.array([[10.0 ** rng.uniform(-12, 12)
+    h = np.array([[10.0 ** rng.uniform(-span, span)
                    if x != y and rng.random() < 0.3 else 0.0
                    for x in range(s)] for y in range(s)])
     return h - np.diag(h.sum(axis=0))

@@ -6,7 +6,9 @@ recomputes the moving samples over the whole batch and reads the jump kernel
 row by row from a table rebuilt on every call.
 
 ``limit_by_doubling`` is the iteration that ``phylo.markov.limit_operator``
-replaced; it converges on well-mixed chains only.  ``semigroup_defect``
+replaced; it converges on well-mixed chains only.  ``limit_exact`` is the
+same limit in exact rationals, the oracle of ``limit_operator`` where its
+floats would leave their range.  ``semigroup_defect``
 measures the semigroup law of ``phylo.markov.expm``.
 
 ``expm_one`` is the one-matrix scaling and squaring that the stacked
@@ -29,6 +31,7 @@ Nothing under ``src/`` imports this module.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +62,68 @@ def limit_by_doubling(g: MarkovGenerator) -> np.ndarray:
         if gap < LIMIT_TOL:
             return M
     raise ArithmeticError(f"doubling cap hit; last increment {gap}")
+
+
+def limit_exact(h: np.ndarray) -> list[list[Fraction]]:
+    """The infinite-time limit of exp(tH) for a float generator h, as exact
+    rationals.  Each closed class's stationary vector comes from a state
+    reduction of its rates, each transient state's odds of ending in each
+    class from Gaussian elimination, so no step rounds."""
+    s = h.shape[0]
+    rate = [[Fraction(float(h[y, x])) if x != y else Fraction(0)
+             for x in range(s)] for y in range(s)]
+    reach = [{x} for x in range(s)]
+    for x in range(s):
+        todo = [x]
+        while todo:
+            u = todo.pop()
+            for y in range(s):
+                if rate[y][u] and y not in reach[x]:
+                    reach[x].add(y)
+                    todo.append(y)
+    classes = {frozenset(reach[x]) for x in range(s)
+               if all(x in reach[y] for y in reach[x])}
+    limit = [[Fraction(0)] * s for _ in range(s)]
+    home = {}
+    for members in classes:
+        c = sorted(members)
+        q = [[rate[y][x] for x in c] for y in c]
+        for k in range(len(c) - 1, 0, -1):
+            out = sum(q[i][k] for i in range(k))
+            for i in range(k):
+                for j in range(k):
+                    q[i][j] += q[i][k] * q[k][j] / out
+        pi = [Fraction(1)]
+        for k in range(1, len(c)):
+            pi.append(sum(q[k][j] * pi[j] for j in range(k))
+                      / sum(q[i][k] for i in range(k)))
+        total = sum(pi)
+        for x in c:
+            home[x] = members
+            for y, p in zip(c, pi):
+                limit[y][x] = p / total
+    # a(x) = sum_y rate[y][x] a(y) / exit(x) for transient x, with a = 1 on
+    # a class and 0 on the others: one linear system per class
+    moving = [x for x in range(s) if x not in home]
+    for members in classes:
+        rows = []
+        for x in moving:
+            exit_x = sum(rate[y][x] for y in range(s))
+            rows.append([(exit_x if y == x else 0) - rate[y][x] for y in moving]
+                        + [sum(rate[y][x] for y in members)])
+        for i in range(len(rows)):
+            pivot = next(j for j in range(i, len(rows)) if rows[j][i])
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            for j in range(len(rows)):
+                if j != i and rows[j][i]:
+                    f = rows[j][i] / rows[i][i]
+                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+        c = sorted(members)
+        for i, x in enumerate(moving):
+            odds = rows[i][-1] / rows[i][i]
+            for y in c:
+                limit[y][x] += odds * limit[y][c[0]]
+    return limit
 
 
 def expm_one(A: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ the tokens one at a time.  Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+import math
 import re
 
 from phylo.newick import LeafLabelError, NewickSyntaxError
@@ -53,6 +54,8 @@ def parse_newick(text: str, allow_infinite: bool = False) -> PhyloTree:
             if tok == "inf" and not allow_infinite:
                 raise NewickSyntaxError("'inf' lengths are not accepted here", at)
             lengths[node] = float(tok)
+            if tok != "inf" and lengths[node] == math.inf:
+                raise NewickSyntaxError("length exceeds the float range", at)
             state = "next" if groups else "last"
         elif state == "next" and tok == ",":
             groups[-1].append(node)

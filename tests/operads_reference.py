@@ -31,7 +31,7 @@ def applicable_moves(w: WeightedTree) -> tuple[tuple[str, int], ...]:
     for v in w.shape.vertices:
         if w.shape.arity(v) == 1:
             moves.append(("unary", v))
-        if w.shape.is_internal_edge(v) and w.length(v) == 0.0:
+        if w.shape.is_internal_edge(v) and w.length_map[v] == 0.0:
             moves.append(("zero", v))
     return tuple(moves)
 

@@ -16,7 +16,6 @@ from operads_reference import applicable_moves, apply_move, operad_law_suite
 from phylo.coalgebra import (
     duplicate_matrix,
     evaluate,
-    evaluate_extended,
     evaluate_operator,
     marginal,
     star,
@@ -228,7 +227,7 @@ def test_c09_infinite_time_extension():
     f = Distribution.point(g.states, "A")
 
     t = parse_newick("((1:inf,2:inf):0.7,3:inf):inf;", allow_infinite=True)
-    got = evaluate_extended(t, g, f).flat
+    got = evaluate(t, g, f).flat
     # oracle: duplicate, then project every leg onto equilibrium
     legs = np.kron(np.kron(p, p), p)
     want = legs @ duplicate_matrix(g.states, 3) @ (p @ f.p)

@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 
 import phylo
 from conftest import balanced_newick, caterpillar_newick, random_reducible
+from markov_reference import limit_exact
 from phylo.cli import main
 from phylo.markov import expm, validate_generator
 from phylo.newick import parse_newick
@@ -359,6 +360,38 @@ class TestLimitCommand:
             assert exit_code("evaluate", "--model", model, "--root", root,
                              "--extended", tree) == 0, H.tolist()
 
+    # the draws among the first 3,000 of random_reducible(random.Random(1),
+    # span=150) whose limit once divided 0 by 0 where a product of jump
+    # probabilities fell below the float range: each printed a numpy
+    # warning, and most exited 1
+    PAST_THE_FLOAT_RANGE = (61, 188, 353, 412, 568, 879, 1129, 1568, 1683,
+                            1746, 1789, 1840, 2165, 2208, 2487, 2496, 2654, 2714)
+
+    def test_rates_spread_past_the_float_range(self, capsys, tmp_path):
+        rng = random.Random(1)
+        draws = [random_reducible(rng, span=150)
+                 for _ in range(self.PAST_THE_FLOAT_RANGE[-1] + 1)]
+        tree = write(tmp_path, "t.nwk", "((1:inf,2:inf):inf,3:inf):inf;")
+        for i in self.PAST_THE_FLOAT_RANGE:
+            s = draws[i].shape[0]
+            labels = [f"S{j}" for j in range(s)]
+            model = write(tmp_path, "H.json", json.dumps(
+                {"states": labels, "rows": draws[i].tolist()}))
+            root = write(tmp_path, "f.json",
+                         json.dumps({"states": labels, "p": [1 / s] * s}))
+            out = {}
+            for argv in (["limit", "--model", model],
+                         ["evaluate", "--model", model, "--root", root,
+                          "--extended", tree]):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out[argv[0]], err = run(capsys, *argv)
+                assert (code, err, caught) == (0, "", []), (i, argv[0])
+            # and the printed limit is the exact one to the last bit of 1
+            got = np.array(json.loads(out["limit"])["rows"])
+            want = np.array(limit_exact(draws[i]), dtype=float)
+            assert np.abs(got - want).max() <= 2.0 ** -52, i
+
 
 class TestErrorChannels:
     def test_exit_two_on_internal_error(self, capsys, tmp_path, monkeypatch,
@@ -394,6 +427,18 @@ class TestErrorChannels:
             "column 0 sum deviates from 0"),
         "act-repeated-leaf": ("act --perm 1,1 t.nwk", {"t.nwk": "(1:0,2:0):0;"},
                               "not a permutation"),
+        # every length is a finite decimal, once read as inf: wcheck printed
+        # true, canon named a length the text does not hold
+        "wcheck-decimal-past-the-float-range": (
+            "wcheck o.nwk", {"o.nwk": "(1:1e999,2:1e999):1e999;"},
+            "length exceeds the float range (at position 3)"),
+        "canon-decimal-past-the-float-range": (
+            "canon o.nwk", {"o.nwk": "(1:1e999,2:1e999):1e999;"},
+            "length exceeds the float range (at position 3)"),
+        "evaluate-decimal-past-the-float-range": (
+            "evaluate --model H.json --root f.json --extended o.nwk",
+            {"o.nwk": "(1:1e999,2:1e999):1e999;"},
+            "length exceeds the float range (at position 3)"),
     }
 
     @pytest.mark.parametrize("name", EXIT_ONE)

@@ -31,7 +31,6 @@ from phylo.coalgebra import (
 from phylo.markov import (
     Distribution,
     MarkovError,
-    NonFiniteTime,
     SizeCap,
     StateSpace,
     _transitions,
@@ -201,11 +200,33 @@ class TestEvaluate:
             assert abs(float(out.data.sum()) - 1.0) < 1e-10
             assert float(out.data.min()) >= -1e-12
 
-    def test_rejects_infinite_lengths(self):
-        t = PhyloTree.make(corolla(2), {1: math.inf, 2: 0.0, -1: 0.0},
+    def test_takes_infinite_lengths(self):
+        # evaluate acts on all of Com + [0, inf]: these are the bits of the
+        # separate evaluate_extended it replaced, whose name stays an alias
+        t = PhyloTree.make(corolla(2), {1: math.inf, 2: 0.5, -1: 0.25},
                            extended=True)
-        with pytest.raises(NonFiniteTime):
-            evaluate(t, FLIP, dist(0.5, 0.5))
+        got = evaluate(t, FLIP, dist(0.3, 0.7)).data
+        want = [float.fromhex(x) for x in ("0x1.d24d8daf876cap-3",
+                                           "0x1.16d939283c49bp-2")] * 2
+        assert got.reshape(-1).tolist() == want
+        assert evaluate_extended is evaluate
+
+    def test_long_edges_converge_to_infinite_ones(self):
+        # the paper's reason Markov coalgebras extend to Com + [0, inf]: an
+        # edge of length T gives the tensor of an infinite one, to 1e-12,
+        # once T times the least exit rate is 60
+        rng = random.Random(53)
+        for _ in range(40):
+            g = random_generator(rng, rng.randint(2, 8))
+            f = random_root(rng, g.states)
+            shape = random_shape(rng, rng.randint(1, 4))
+            lens = {u: random_length(rng) for u in shape.nodes}
+            edge = rng.choice(shape.nodes)
+            T = 60.0 / float(-np.diag(g.H).max())
+            near = evaluate(PhyloTree.make(shape, {**lens, edge: T}), g, f)
+            far = evaluate(PhyloTree.make(shape, {**lens, edge: math.inf},
+                                          extended=True), g, f)
+            assert np.abs(near.data - far.data).max() <= 1e-12
 
 
 def random_generator(rng, k):
@@ -264,8 +285,7 @@ class TestPushOracle:
 
     def test_matches_the_top_down_push(self):
         # the kernel against the one it replaced, on shapes with
-        # multifurcations, zero external lengths and, through
-        # evaluate_extended, infinite ones
+        # multifurcations, zero external lengths and infinite ones
         rng = random.Random(43)
         extended_trees = 0
         for s, most in ((2, 7), (3, 7), (4, 7), (16, 4)):
@@ -279,8 +299,7 @@ class TestPushOracle:
                                          math.inf if extended else 0.5))
                         for u in shape.nodes}
                 t = PhyloTree.make(shape, lens, extended=extended)
-                read = evaluate_extended if t.is_extended else evaluate
-                got = read(t, g, f).data
+                got = evaluate(t, g, f).data
                 assert np.abs(got - markov_reference.push(t, g, f.p)).max() <= 1e-15
                 want = markov_reference.push(t, g, np.eye(s)).reshape(s ** t.n, s)
                 assert np.abs(evaluate_operator(t, g) - want).max() <= 1e-15
@@ -304,11 +323,11 @@ class TestPushOracle:
         assert [sorted(b) for b in builds] == [[0.25, 0.5, 1.0]] * 2
         builds.clear()
         t = parse_newick("((1:inf,2:0.5):0.5,3:inf):0.5;", allow_infinite=True)
-        evaluate_extended(t, g, f)
+        evaluate(t, g, f)
         assert builds == [[0.5]]
         builds.clear()
         t = parse_newick("(1:inf,2:inf):inf;", allow_infinite=True)
-        evaluate_extended(t, g, f)
+        evaluate(t, g, f)
         assert builds == []
 
     def test_size_cap_before_any_allocation(self, monkeypatch):
@@ -384,8 +403,8 @@ class TestOneBuffer:
     def test_matches_the_copying_pass_bitwise(self):
         # the pass that writes over its own partials against the one that
         # made a new array per step, with tolerance 0: roots whose first or
-        # last child is a leaf, multifurcating roots, zero lengths and,
-        # through evaluate_extended, infinite ones
+        # last child is a leaf, multifurcating roots, zero lengths and
+        # infinite ones
         rng = random.Random(47)
         seen = collections.Counter()
         for s, most in ((2, 9), (3, 7), (4, 7), (16, 4)):
@@ -400,9 +419,7 @@ class TestOneBuffer:
                         for u in shape.nodes}
                 t = PhyloTree.make(shape, lens, extended=extended)
                 want = markov_reference.prune(t, g, f.p)
-                assert np.array_equal(evaluate_extended(t, g, f).data, want)
-                if not t.is_extended:
-                    assert np.array_equal(evaluate(t, g, f).data, want)
+                assert np.array_equal(evaluate(t, g, f).data, want)
                 want = markov_reference.prune(t, g, None).reshape(s ** t.n, s)
                 assert np.array_equal(evaluate_operator(t, g), want)
                 kids = t.shape.child_map.get(t.shape.root, ())
@@ -438,7 +455,7 @@ class TestOneBuffer:
         for text in ("((1:inf,2:0.5):0.5,(3:inf,4:inf):0.25):0.5;",
                      "(1:inf,(2:inf,3:0.5):0.25):inf;", "(1:inf,2:inf):0.5;"):
             t = parse_newick(text, allow_infinite=True)
-            lt = evaluate_extended(t, g, f)
+            lt = evaluate(t, g, f)
             evaluate_operator(t, g)
             assert not lt.data.flags.writeable
             assert g.limit.M is limit and not limit.flags.writeable
@@ -513,28 +530,28 @@ class TestEvaluateExtended:
     def test_infinite_single_edge_reaches_uniform(self):
         g = jukes_cantor(1.0, 4)
         f = Distribution.point(g.states, "A")
-        out = evaluate_extended(unit_phylo(math.inf), g, f)
+        out = evaluate(unit_phylo(math.inf), g, f)
         assert np.abs(out.data - 0.25).max() < 1e-12
 
     def test_finite_then_infinite_collapses(self):
         t1 = phylo_compose(unit_phylo(0.8), 1, unit_phylo(math.inf))
         t2 = unit_phylo(math.inf)
         f = dist(0.9, 0.1)
-        a = evaluate_extended(t1, FLIP, f)
-        b = evaluate_extended(t2, FLIP, f)
+        a = evaluate(t1, FLIP, f)
+        b = evaluate(t2, FLIP, f)
         assert np.abs(a.data - b.data).max() < 1e-8
 
     def test_matches_evaluate_on_finite_trees(self):
         rng = random.Random(17)
         t = random_phylo(rng, 3)
         f = dist(0.6, 0.4)
-        assert np.array_equal(evaluate_extended(t, FLIP, f).data,
+        assert np.array_equal(evaluate(t, FLIP, f).data,
                               evaluate(t, FLIP, f).data)
 
     def test_limit_spot_check_against_large_time(self):
         f = dist(1.0, 0.0)
         near = evaluate(unit_phylo(50.0), FLIP, f)
-        far = evaluate_extended(unit_phylo(math.inf), FLIP, f)
+        far = evaluate(unit_phylo(math.inf), FLIP, f)
         assert np.abs(near.data - far.data).max() < 1e-6
 
 

@@ -8,7 +8,12 @@ import pytest
 import scipy.linalg
 
 from conftest import expm_taylor, random_reducible
-from markov_reference import expm_one, limit_by_doubling, semigroup_defect
+from markov_reference import (
+    expm_one,
+    limit_by_doubling,
+    limit_exact,
+    semigroup_defect,
+)
 from phylo import markov
 from phylo.coalgebra import LeafTensor
 from phylo.markov import (
@@ -22,7 +27,6 @@ from phylo.markov import (
     MarkovError,
     NegativeOffDiagonal,
     NegativeTime,
-    NonFiniteTime,
     ShapeMismatch,
     SizeCap,
     StateSpace,
@@ -229,8 +233,18 @@ class TestExpm:
     def test_bad_times(self):
         with pytest.raises(NegativeTime):
             expm(FLIP, -0.1)
-        with pytest.raises(NonFiniteTime):
-            expm(FLIP, math.inf)
+        # t = inf is not a bad time: it gives the cached limit
+        assert expm(FLIP, math.inf) is FLIP.limit
+
+    def test_long_times_converge_to_infinite_time(self):
+        # the paper's reason Markov coalgebras extend to Com + [0, inf]:
+        # exp(TH) reaches the limit once T times the least exit rate is 60
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_generator(rng, k=rng.randint(2, 8),
+                                 scale=10.0 ** rng.uniform(-2, 2))
+            T = 60.0 / float(-np.diag(g.H).max())
+            assert np.abs(expm(g, T).M - expm(g, math.inf).M).max() <= 1e-12
 
     @pytest.mark.parametrize("s", [2, 3, 4, 16])
     def test_time_zero_is_identity_bitwise(self, s):
@@ -488,13 +502,10 @@ class TestLimitOperator:
         p = limit_operator(validate_generator(h)).M
         assert np.array_equal(p, [[1.0] * 3, [0.0] * 3, [0.0] * 3])
 
-    @pytest.mark.xfail(strict=True, raises=(RuntimeWarning, MarkovError),
-                       reason="an escape probability below the float range "
-                       "becomes 0 and the elimination divides 0 by 0")
     def test_escape_probability_below_the_float_range(self):
-        # draw 353 of random.Random(1) by random_reducible's recipe with
-        # every present rate 10^U(-150, 150), the first of 8 in 3,000 draws
-        # whose limit fails
+        # draw 353 of random_reducible(random.Random(1), span=150): an
+        # escape probability of about 6e-382 once underflowed to 0 and the
+        # elimination divided 0 by 0
         h = np.array([
             [0.0, 8.36255516417806e-31, 0.0, 1.7654233988474146e-121, 0.0,
              4.770333223239854e-55],
@@ -510,6 +521,24 @@ class TestLimitOperator:
         assert (p >= 0).all()
         assert np.abs(p.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL
         assert (np.abs(h @ p) <= 1e-14 * (np.abs(h) @ p)).all()
+
+    def test_matches_exact_rationals_across_the_exponent_range(self):
+        # rates 2^k with k from -1100 to 1000: a rate below 2^-1074 rounds to
+        # 0 and is absent, and above 2^1000 a column's sum could overflow.
+        # Products of jump probabilities fall far below the float range,
+        # where limit_exact keeps every bit
+        rng = random.Random(37)
+        for _ in range(300):
+            s = rng.randint(2, 4)
+            h = np.array([[math.ldexp(1.0, rng.randint(-1100, 1000))
+                           if x != y and rng.random() < 0.6 else 0.0
+                           for x in range(s)] for y in range(s)])
+            h -= np.diag(h.sum(axis=0))
+            want = np.array(limit_exact(h), dtype=float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = limit_operator(validate_generator(h)).M
+            assert np.abs(got - want).max() <= 1e-15, h.tolist()
 
     def test_agrees_with_doubling_on_well_mixed_generators(self):
         rng = random.Random(23)

@@ -100,6 +100,14 @@ class TestParse:
         lens[t.root] = 0.0
         assert parse_newick(caterpillar_newick(4999)) == PhyloTree.make(t, lens)
 
+    @pytest.mark.parametrize("allow_infinite", [False, True])
+    def test_overflowing_decimal_is_not_inf(self, allow_infinite):
+        # only the token 'inf' means infinity; 1e308 is a float, 1e999 is not
+        assert parse_newick("(1:1e308,2:1):0;", allow_infinite).length(1) == 1e308
+        with pytest.raises(NewickSyntaxError, match="exceeds the float range") as e:
+            parse_newick("(1:1,2:1e999):1e999;", allow_infinite)
+        assert e.value.position == 7
+
     def test_inf_gated(self):
         with pytest.raises(NewickSyntaxError):
             parse_newick("1:inf;")

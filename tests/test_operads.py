@@ -467,10 +467,10 @@ class TestPhyloCompose:
         shift = min(padded.shape.vertices, default=0)
         glens = {}
         for v in padded.shape.vertices:
-            glens[v] = padded.length(v)
+            glens[v] = padded.length_map[v]
         for j in range(1, padded.n + 1):
             if j != i:
-                glens[j if j < i else j + inner.n - 1] = padded.length(j)
+                glens[j if j < i else j + inner.n - 1] = padded.length_map[j]
         for v in inner.shape.vertices:
             glens[v + shift] = inner.length(v)
         for j in range(1, inner.n + 1):

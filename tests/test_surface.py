@@ -7,7 +7,8 @@ that identifier, as a name or an attribute, anywhere in ``src/phylo``,
 ``perfbench/*.py`` or ``scripts/`` outside the definition's own body.
 Raising, catching or subclassing an error class reads its name, so counts.
 Identifiers are matched by name alone, so a method counts as called when
-any attribute of its name is read.  Strings count in ``perfbench``, whose
+any attribute of its name is read; a method that shares its name with one
+that has readers needs a check by hand.  Strings count in ``perfbench``, whose
 traced run patches library names by string.  A method that overrides one
 of a base class, such as ``cli._Parser.error``, is called by that base.
 
