@@ -204,7 +204,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                        samples=args.samples)
     _emit_json({"states": list(g.states.labels), "n": t.n,
                 "samples": args.samples,
-                "counts": [int(c) for c in counts.reshape(-1)]})
+                "counts": counts.ravel().tolist()})
     return 0
 
 

@@ -257,5 +257,5 @@ def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
 
 def tensor_to_json(lt: LeafTensor) -> dict:
     return {"states": list(lt.states.labels), "n": lt.n,
-            "data": [float(x) for x in lt.flat]}
+            "data": lt.flat.tolist()}
 

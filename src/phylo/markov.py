@@ -27,7 +27,7 @@ NEGATIVE_CLAMP = 1e-12
 TENSOR_CAP = 10 ** 6
 # most state changes a simulation may expect to draw: samples x the fastest
 # exit rate x the summed edge lengths.  The jump chain runs about rate x
-# length rounds along an edge, so this also bounds its rounds.
+# length rounds, so one sample may run 10^7 rounds: over a minute of run time.
 JUMP_CAP = 10 ** 7
 
 
@@ -501,49 +501,49 @@ def site_product(g: MarkovGenerator, sites: int) -> MarkovGenerator:
 
 def _jump_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The holding rate -H[x, x] of every state x, and the cumulative jump
-    kernel stored transposed: table[k, x] is the probability that a jump
-    out of x lands in a state <= k, and column x is zero when x has rate 0."""
+    kernel transposed and less its last row: table[k, x] is the probability
+    that a jump out of x lands in a state <= k, or 0 if x has rate 0."""
     rates = -np.diag(H)
     moving = rates > 0
     kernel = np.zeros(H.shape)
     kernel[:, moving] = H[:, moving] / rates[moving]
     np.fill_diagonal(kernel, 0.0)
-    return rates, np.cumsum(kernel, axis=0)
+    return rates, np.cumsum(kernel[:-1], axis=0)
 
 
 def _evolve(rng: np.random.Generator, rates: np.ndarray, table: np.ndarray,
             start: np.ndarray, t: float) -> np.ndarray:
     """Jump-chain simulation of every sample along an edge of length t: in
     state x a sample holds for an exponential time at rate rates[x], then
-    jumps to the first state k with u < table[k, x] for a uniform u.
-
-    Only the samples still moving are kept, in ascending index order.  Each
-    round draws one holding time for each of them, then one uniform for
-    each still inside the edge, and drops those that left the edge or
-    reached a state of rate 0."""
+    jumps to the first state k with u < table[k, x] for a uniform u, else
+    to the last state.  Only the samples still moving are kept, in index
+    order.  Each round draws one holding time for each, then one uniform
+    for each still inside the edge, and drops those that left the edge or
+    reached a state of rate 0.  These draws and their order fix a seed's
+    counts, a part of the contract.  ``start`` is only read."""
     x = np.array(start, dtype=np.int64)
     if not t > 0:
         return x
-    s = table.shape[0]
     absorbing = not (rates > 0).all()
-    idx = np.flatnonzero(rates[x] > 0) if absorbing else np.arange(x.size)
-    xs = x[idx]
-    rem = np.full(idx.size, float(t))
-    while idx.size:
-        rem -= rng.exponential(1.0, size=idx.size) / rates[xs]
-        inside = rem > 0
-        j = np.count_nonzero(inside)
-        if j < idx.size:
-            idx, rem, xs = idx[inside], rem[inside], xs[inside]
-        if j:
-            u = rng.random(j)
-            # the first state whose cumulative jump probability exceeds u
-            targets = (np.take(table, xs, axis=1) <= u).sum(axis=0, dtype=np.int64)
-            xs = np.minimum(targets, s - 1)
-            x[idx] = xs
+    # the samples still moving, in ascending order; None while that is all
+    idx = (rates.take(x) > 0).nonzero()[0] if absorbing else None
+    xs, rem = x if idx is None else x.take(idx), float(t)
+    while xs.size:
+        e = rng.standard_exponential(xs.size)
+        e /= rates.take(xs)
+        rem = np.subtract(rem, e, out=e)
+        keep = (rem > 0).nonzero()[0]
+        if keep.size < xs.size:
+            idx = keep if idx is None else idx.take(keep)
+            rem, xs = rem.take(keep), xs.take(keep)
+        if keep.size:
+            # the number of cumulative jump probabilities at or below u
+            xs = np.add.reduce(table.take(xs, axis=1) <= rng.random(keep.size),
+                               axis=0, dtype=np.int64)
+            x[... if idx is None else idx] = xs
             if absorbing:
-                moving = rates[xs] > 0
-                idx, rem, xs = idx[moving], rem[moving], xs[moving]
+                keep = (rates.take(xs) > 0).nonzero()[0]
+                idx, rem, xs = idx.take(keep), rem.take(keep), xs.take(keep)
     return x
 
 
@@ -567,18 +567,17 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
     s = g.size
     if s ** tree.n > TENSOR_CAP:
         raise SizeCap(f"{s}^{tree.n} count entries exceed the cap {TENSOR_CAP}")
-    H = np.asarray(g.H)
-    rate = float(-np.diag(H).min())
+    rates, table = _jump_table(np.asarray(g.H))
+    rate = float(rates.max())
     length = sum(tree.length(u) for u in tree.shape.preorder)
     if samples * rate * length > JUMP_CAP:
         raise SizeCap(f"{samples} samples x rate {rate:g} x length {length:g} "
                       f"exceed the cap of {JUMP_CAP} expected jumps")
-    rates, table = _jump_table(H)
     rng = np.random.default_rng(seed)
-    cut = np.cumsum(root.p)
-    start = np.searchsorted(cut, rng.random(samples), side="right")
+    # the root draw follows _evolve's jump rule, on the cumulative root law
+    cut = np.cumsum(root.p)[:-1, None]
     # 0 is the root marker: the state flowing into the root edge
-    states = {0: np.minimum(start, s - 1).astype(np.int64)}
+    states = {0: np.add.reduce(cut <= rng.random(samples), axis=0, dtype=np.int64)}
     for u in tree.shape.preorder:
         p = tree.shape.parent[u]
         # a vertex's state is dropped once its last child has used it

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -283,6 +284,28 @@ class TestModelCommands:
         assert code == 0 and out1 == out2
         doc = json.loads(out1)
         assert sum(doc["counts"]) == 500
+
+    @pytest.mark.parametrize("command, extra, digest", [
+        ("simulate", ("--seed", "2026", "--samples", "3000"),
+         "36c392d45311d9873fda94a5f278f0d7fa5d6c0781c8dd83b078dc6aa3525d47"),
+        ("evaluate", (),
+         "157d1a62142718fdc2401ce45dcfa0ad6db8591b6e9ba8f824cb806742fb1486"),
+    ])
+    def test_output_bytes_pinned(self, capsys, tmp_path, command, extra, digest):
+        # the 4^7 counts and probabilities of a 7-leaf tree, byte for byte
+        model = write(tmp_path, "H.json", json.dumps(
+            {"states": list("ACGT"),
+             "rows": [[-0.875, 0.25, 0.5, 0.125], [0.375, -1.0, 0.125, 0.5],
+                      [0.25, 0.5, -0.75, 0.375], [0.25, 0.25, 0.125, -1.0]]}))
+        root = write(tmp_path, "f.json", json.dumps(
+            {"states": list("ACGT"), "p": [0.125, 0.25, 0.375, 0.25]}))
+        tree = write(tmp_path, "t.nwk",
+                     "(((1:0.125,2:0.25):0.5,(3:0.375,4:1):0.25):0.125,"
+                     "((5:0.5,6:0.0625):0.75,7:0.3125):0.1875):0.0625;")
+        code, out, _ = run(capsys, command, "--model", model, "--root", root,
+                           *extra, tree)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def two_state(a: float, b: float) -> dict:

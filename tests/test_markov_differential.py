@@ -1,8 +1,8 @@
 """Differential test of the compacted jump chain ``phylo.markov._evolve``
 against the whole-batch chain it replaced (``markov_reference``): on seeded
-generators with 1 to 6 states, some with states of rate 0, both give the
-same states and leave the random generator in the same state after every
-call."""
+generators with 1 to 6 states, and with 16 and 64 states, some with states
+of rate 0, both give the same states and leave the random generator in the
+same state after every call, and neither writes to its start states."""
 
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from phylo import markov
 
 LENGTHS = (0.0, 1e-9, 0.5, 3.0)
 SEEDS = range(200)
+LARGE_SEEDS = range(20)
 
 
 def _generator(rng: np.random.Generator, s: int) -> np.ndarray:
@@ -37,14 +38,31 @@ def _edges(seed: int):
     return H, start
 
 
+def _large_edges(seed: int):
+    """The rate matrix and start states of one seed with 16 or 64 states.
+    The rates are divided by the state count, a power of two, so the
+    columns still sum to zero and the exit rates stay near the small ones."""
+    rng = np.random.default_rng([29, seed])
+    s = (16, 64)[seed % 2]
+    H = _generator(rng, s) / s
+    samples = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
+    start = rng.integers(0, s, size=samples)
+    return H, start
+
+
 def test_same_states_and_generator_state_on_every_call():
-    for seed in SEEDS:
-        H, start = _edges(seed)
+    cases = [(seed, *_edges(seed)) for seed in SEEDS]
+    cases += [(seed, *_large_edges(seed)) for seed in LARGE_SEEDS]
+    for seed, H, start in cases:
         rates, table = markov._jump_table(H)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         x = y = start
         for t in LENGTHS:
-            x = markov._evolve(ours, rates, table, x, t)
+            # simulate_branching hands one parent's states to every child edge
+            given = x.copy()
+            out = markov._evolve(ours, rates, table, x, t)
+            assert np.array_equal(x, given), (seed, H.shape[0], t)
+            x = out
             y = markov_reference._evolve(theirs, H, y, t)
             assert x.dtype == y.dtype == np.int64, (seed, t)
             assert np.array_equal(x, y), (seed, H.shape[0], t)
@@ -73,6 +91,9 @@ def test_every_size_and_absorbing_state_is_covered():
     assert sizes == set(range(1, 7))
     assert absorbing >= 30
     assert min(samples) == 1 and max(samples) == 5000
+    large = [_large_edges(seed)[0] for seed in LARGE_SEEDS]
+    assert {H.shape[0] for H in large} == {16, 64}
+    assert all((np.diag(H) < 0).any() and not (np.diag(H) < 0).all() for H in large)
 
 
 def test_source_does_not_import_the_reference():
