@@ -266,16 +266,11 @@ def _expm_core(A: np.ndarray) -> np.ndarray:
         if not norm < 2.0 ** 1000:
             # also an infinite norm, where t * H or its norm overflowed
             raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
-        if norm == 0:
-            out[i] = np.eye(s)  # the degree-1 series gives exactly I
-            continue
         # ceil(log2 norm), exactly, so that the scaled norm is at most 1
         frac, exp = math.frexp(norm)
         squarings = max(0, exp - (frac == 0.5))
         m = _series_degree(norm / 2.0 ** squarings)
         plans.append((_PS_TABLES[m].shape, squarings, m, i))
-    if len(plans) == k == 1:  # nothing to sort or scatter
-        return _expm_batch(A, plans)
     # by table shape, then most squarings first, so that each squaring round
     # of a batch runs on a prefix of it
     plans.sort(key=lambda p: (p[0], -p[1]))
@@ -479,20 +474,15 @@ def site_product(g: MarkovGenerator, sites: int) -> MarkovGenerator:
         raise SizeCap(f"{s}^{sites} states exceeds the cap of 64")
     if sites == 1:
         return g
-    eye = np.eye(s)
-    total = np.zeros((s ** sites, s ** sites))
-    for j in range(sites):
-        factors = [eye] * sites
-        factors[j] = np.asarray(g.H)
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        total += term
+    # one site at a time; + 0.0 turns the -0.0 a -0.0 entry of H leaves into 0.0
+    H = total = np.asarray(g.H)
+    for j in range(1, sites):
+        total = np.kron(total, np.eye(s)) + np.kron(np.eye(s ** j), H)
     joiner = "" if all(len(l) == 1 for l in g.states.labels) else "|"
     labels = g.states.labels
     for _ in range(sites - 1):
         labels = tuple(a + joiner + b for a in labels for b in g.states.labels)
-    return validate_generator(total, labels)
+    return validate_generator(total + 0.0, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +499,17 @@ def _jump_table(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kernel[:, moving] = H[:, moving] / rates[moving]
     np.fill_diagonal(kernel, 0.0)
     return rates, np.cumsum(kernel[:-1], axis=0)
+
+
+def _jump(table: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Where each sample jumps, from state xs[i] on the uniform u[i]: the
+    number of cumulative jump probabilities table[:, xs[i]] at or below
+    u[i], read in blocks of at most TENSOR_CAP table entries."""
+    if u.size * len(table) <= TENSOR_CAP:
+        return np.add.reduce(table.take(xs, axis=1) <= u, axis=0, dtype=np.int64)
+    step = TENSOR_CAP // len(table)
+    return np.concatenate([_jump(table, xs[j:j + step], u[j:j + step])
+                           for j in range(0, u.size, step)])
 
 
 def _evolve(rng: np.random.Generator, rates: np.ndarray, table: np.ndarray,
@@ -537,9 +538,7 @@ def _evolve(rng: np.random.Generator, rates: np.ndarray, table: np.ndarray,
             idx = keep if idx is None else idx.take(keep)
             rem, xs = rem.take(keep), xs.take(keep)
         if keep.size:
-            # the number of cumulative jump probabilities at or below u
-            xs = np.add.reduce(table.take(xs, axis=1) <= rng.random(keep.size),
-                               axis=0, dtype=np.int64)
+            xs = _jump(table, xs, rng.random(keep.size))
             x[... if idx is None else idx] = xs
             if absorbing:
                 keep = (rates.take(xs) > 0).nonzero()[0]
@@ -574,10 +573,10 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
         raise SizeCap(f"{samples} samples x rate {rate:g} x length {length:g} "
                       f"exceed the cap of {JUMP_CAP} expected jumps")
     rng = np.random.default_rng(seed)
-    # the root draw follows _evolve's jump rule, on the cumulative root law
+    # 0 is the root marker: the state flowing into the root edge, drawn by
+    # the jump rule from a state 0 whose jump law is the root law
     cut = np.cumsum(root.p)[:-1, None]
-    # 0 is the root marker: the state flowing into the root edge
-    states = {0: np.add.reduce(cut <= rng.random(samples), axis=0, dtype=np.int64)}
+    states = {0: _jump(cut, np.zeros(samples, np.int64), rng.random(samples))}
     for u in tree.shape.preorder:
         p = tree.shape.parent[u]
         # a vertex's state is dropped once its last child has used it
@@ -597,7 +596,7 @@ def simulate_branching(tree: PhyloTree, g: MarkovGenerator, root: Distribution,
 
 def matrix_to_json(states: StateSpace, M: np.ndarray) -> dict:
     return {"states": list(states.labels),
-            "rows": [[float(x) for x in row] for row in np.asarray(M)]}
+            "rows": np.asarray(M).tolist()}
 
 
 def _json_fields(doc: Any, what: str, key: str) -> tuple[StateSpace, Any]:

@@ -130,8 +130,9 @@ def _diagnose(text: str, pos: int, closing: bool, groups: list[list[int]],
     which does not fit the text before it.  The token rules run from the
     edge's start, with the open groups as the accepted text left them:
     tokens are the delimiters ( ) , : ; and the stripped text between them,
-    and the first token that does not fit names the error and its
-    position."""
+    and the first that does not fit names the error and its position.  No
+    separator after a length fits here: ``_EDGE`` matches every edge whose
+    tokens fit up to one, which the parser accepts if it fits the groups."""
     state = "next" if closing else "subtree"
     while True:
         d = _DELIMITER.search(text, pos)
@@ -159,17 +160,14 @@ def _diagnose(text: str, pos: int, closing: bool, groups: list[list[int]],
             if tok != "inf" and float(tok) == math.inf:
                 raise NewickSyntaxError("length exceeds the float range", at)
             state = "next" if groups else "last"
-        elif state == "next" and tok == ",":
-            groups[-1].append(0)  # only how many children a group has counts
-            state = "subtree"
         elif state == "next" and tok == ")":
             if len(groups.pop()) < 1:
                 raise NewickSyntaxError(
                     "interior vertices need at least two children", at)
             state = "colon"
-        elif state == "last" and tok == ";":
-            state = "end"
         else:
+            # a ',' or ';' after a length is always an error here: had it
+            # fit, the fast path would have accepted the edge
             raise NewickSyntaxError(_EXPECTED[state], at)
 
 
@@ -187,8 +185,6 @@ def _long_label(tok: str, most_digits: int) -> int:
 
 
 def format_length(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     r = repr(float(x))
     return r[:-2] if r.endswith(".0") else r
 

@@ -512,14 +512,7 @@ def validate(n: int,
             by_target[v].sort(key=str)
 
     kids = {v: [source[e] for e in by_target[v]] for v in vset}
-    root_src = source[root_edges[0]]
-    try:
-        return make_tree(n, root_src, {v: kids[v] for v in vset})
-    except SourceNotBijective:
-        raise
-    except TreeError as exc:
-        # make_tree only fails here when some vertex cannot reach the root
-        raise UnreachableRoot(str(exc)) from exc
+    return make_tree(n, source[root_edges[0]], kids)
 
 
 def corolla(n: int) -> PlanarTree:

@@ -242,10 +242,6 @@ class Orthant:
         _cluster_nesting(self.n, self.clusters)
 
     @cached_property
-    def axes(self) -> tuple[int, ...]:
-        return axis_order(self.clusters)
-
-    @cached_property
     def shape(self) -> PlanarTree:
         return tree_from_clusters(self.n, self.clusters)
 

@@ -15,6 +15,11 @@ measures the semigroup law of ``phylo.markov.expm``.
 ``phylo.markov._expm_core`` replaced, the bitwise oracle of every slice of
 its stack.
 
+``site_sum`` is the generator of ``phylo.markov.site_product`` as it was
+built before the Kronecker sum grew one site at a time: a sum of one
+Kronecker chain per site, each of ``sites`` factors.  It is the bitwise
+oracle of the grown sum.
+
 ``push`` is the top-down evaluation that the bottom-up
 ``phylo.coalgebra._evaluate`` replaced, the oracle of its differential test
 in ``test_coalgebra``.  It grows one tensor from the root, one vertex at a
@@ -157,6 +162,21 @@ def expm_one(A: np.ndarray) -> np.ndarray:
         total += block
     for _ in range(squarings):
         total = total @ total
+    return total
+
+
+def site_sum(H: np.ndarray, sites: int) -> np.ndarray:
+    """The Kronecker-sum generator of ``sites`` independent copies of H, as
+    the sum over sites j of I x ... x H x ... x I, H the j-th factor."""
+    s = H.shape[0]
+    total = np.zeros((s ** sites, s ** sites))
+    for j in range(sites):
+        factors = [np.eye(s)] * sites
+        factors[j] = H
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        total += term
     return total
 
 

@@ -307,6 +307,22 @@ class TestModelCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("limit", "--model", "H.json"),
+         "e6c99b6a99d0e2299bf154b866624cf4d452ddd0577788ab7580d01566b0fcdb"),
+        (("jc", "--mu", "0.5", "--k", "7"),
+         "97c03916f06b93fbc4b80f3a982315a0619d47c5efd985ff9354a958f5a49ef9"),
+    ])
+    def test_matrix_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # the rows of a printed matrix, byte for byte
+        model = write(tmp_path, "H.json", json.dumps(
+            {"states": list("ACGT"),
+             "rows": [[-0.875, 0.25, 0.5, 0.125], [0.375, -1.0, 0.125, 0.5],
+                      [0.25, 0.5, -0.75, 0.375], [0.25, 0.25, 0.125, -1.0]]}))
+        code, out, _ = run(capsys, *(model if a == "H.json" else a for a in argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def two_state(a: float, b: float) -> dict:
     """Rate a from state "a" to "b", and b back."""
@@ -450,6 +466,9 @@ class TestErrorChannels:
             "column 0 sum deviates from 0"),
         "act-repeated-leaf": ("act --perm 1,1 t.nwk", {"t.nwk": "(1:0,2:0):0;"},
                               "not a permutation"),
+        "simulate-no-samples": (
+            "simulate --model H.json --root f.json --seed 1 --samples 0 t.nwk",
+            {"t.nwk": "(1:1,2:1):1;"}, "need at least one sample"),
         # every length is a finite decimal, once read as inf: wcheck printed
         # true, canon named a length the text does not hold
         "wcheck-decimal-past-the-float-range": (

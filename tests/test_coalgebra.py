@@ -678,6 +678,14 @@ class TestCaps:
         with pytest.raises(SizeCap):
             evaluate_operator(big, g)
 
+    def test_tensor_and_duplication_caps_before_any_data(self):
+        # 4^10 entries are past the cap; the data is not read at all
+        states = jukes_cantor(1.0, 4).states
+        with pytest.raises(SizeCap, match="4\\^10 tensor entries exceed the cap"):
+            LeafTensor.make(states, 10, None)
+        with pytest.raises(SizeCap, match="4\\^10 exceeds the cap"):
+            duplicate_matrix(states, 10)
+
     def test_extended_length_monoid(self):
         assert math.inf + 1.5 == math.inf
         assert 1.5 + math.inf == math.inf

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from markov_reference import (
     limit_by_doubling,
     limit_exact,
     semigroup_defect,
+    site_sum,
 )
 from phylo import markov
 from phylo.coalgebra import LeafTensor
@@ -27,6 +29,7 @@ from phylo.markov import (
     MarkovError,
     NegativeOffDiagonal,
     NegativeTime,
+    NonFiniteTime,
     ShapeMismatch,
     SizeCap,
     StateSpace,
@@ -593,6 +596,23 @@ class TestSiteProduct:
         with pytest.raises(SizeCap):
             site_product(jukes_cantor(1.0, 4), 4)
 
+    @pytest.mark.parametrize("s", [2, 3, 4, 8])
+    def test_bits_of_the_per_site_sum(self, s):
+        # every site count from 2 up to the cap (one site gives g itself), on
+        # seeded generators and on one with -0.0 entries, which the per-site
+        # sum from 0 turns into 0.0
+        rng = random.Random(4100 + s)
+        H0 = np.where(np.eye(s, dtype=bool), -0.0, 0.0)
+        H0[:, 0] = -0.0
+        H0[1, 0], H0[0, 0] = 0.5, -0.5
+        for H in [np.asarray(random_generator(rng, s).H) for _ in range(10)] + [H0]:
+            g = validate_generator(H)
+            sites = 2
+            while s ** sites <= 64:
+                assert site_product(g, sites).H.tobytes() == \
+                    site_sum(np.asarray(g.H), sites).tobytes()
+                sites += 1
+
     @pytest.mark.parametrize("sites", [True, False, 2.0, "2", None, 0])
     def test_non_count_sites_rejected(self, sites):
         with pytest.raises(MarkovError, match="site count must be an int"):
@@ -654,6 +674,28 @@ class TestSimulate:
         with pytest.raises(StateSpaceMismatch):
             simulate_branching(unit_phylo(0.0), FLIP, f, seed=0, samples=1)
 
+    def test_extended_tree_refused(self):
+        f = Distribution.uniform(FLIP.states)
+        t = parse_newick("(1:inf,2:1):0;", allow_infinite=True)
+        with pytest.raises(NonFiniteTime, match="needs finite edge lengths"):
+            simulate_branching(t, FLIP, f, seed=0, samples=1)
+
+    def test_jump_lookup_memory_is_bounded(self):
+        # 256 states and 100,000 samples: a lookup of every moving sample at
+        # once took 255 x ~39,000 x 9 bytes (float and bool), about 90 MB; in
+        # blocks of TENSOR_CAP table entries it takes about 9 MB
+        g = jukes_cantor(2.0 ** -8, 256)
+        f = Distribution.uniform(g.states)
+        t = parse_newick("(1:0.5,2:0.5):0.5;")
+        tracemalloc.start()
+        try:
+            counts = simulate_branching(t, g, f, seed=5, samples=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+        assert counts.sum() == 100_000
+
     def test_counts_pinned_for_fixed_seed(self):
         # the counts a seed gives are part of its contract, so a change to
         # the draws or to their order shows here
@@ -695,6 +737,14 @@ class TestStateSpace:
 
     def test_index(self):
         assert jukes_cantor(1.0).states.index("C") == 2
+
+    def test_repeated_label_refused(self):
+        with pytest.raises(MarkovError, match="state labels must be distinct"):
+            StateSpace(("a", "b", "a"))
+
+    def test_empty_space_refused(self):
+        with pytest.raises(MarkovError, match="at least one state"):
+            StateSpace(())
 
 
 class TestSiteProductLabels:

@@ -2,7 +2,8 @@
 against the whole-batch chain it replaced (``markov_reference``): on seeded
 generators with 1 to 6 states, and with 16 and 64 states, some with states
 of rate 0, both give the same states and leave the random generator in the
-same state after every call, and neither writes to its start states."""
+same state after every call, also when the jump lookup runs in blocks, and
+neither writes to its start states."""
 
 from pathlib import Path
 
@@ -67,6 +68,13 @@ def test_same_states_and_generator_state_on_every_call():
             assert x.dtype == y.dtype == np.int64, (seed, t)
             assert np.array_equal(x, y), (seed, H.shape[0], t)
             assert ours.bit_generator.state == theirs.bit_generator.state, (seed, t)
+
+
+def test_lookup_in_blocks_gives_the_same_states(monkeypatch):
+    # a cap of 100 table entries splits the jump lookup of every round with
+    # more than 100 / (s - 1) moving samples into blocks
+    monkeypatch.setattr(markov, "TENSOR_CAP", 100)
+    test_same_states_and_generator_state_on_every_call()
 
 
 def test_short_kernel_jumps_to_the_last_state():

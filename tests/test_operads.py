@@ -216,6 +216,11 @@ class TestCounitEquivalent:
         b = LabelledTree.make(corolla(1), {-1: 2.0})
         assert not counit_equivalent(HALF_LINE, a, b)
 
+    def test_distinguishes_different_arities(self):
+        a = LabelledTree.make(corolla(2), {-1: 2})
+        b = LabelledTree.make(corolla(3), {-1: 3})
+        assert not counit_equivalent(COM, a, b)
+
 
 # -- the rewrite engine ------------------------------------------------------
 
@@ -351,6 +356,14 @@ class TestNormalForm:
         with pytest.raises(MalformedLabelling):
             normal_form(WeightedTree.make(corolla(2), {1: 0.0, 2: -0.5, -1: 0.0}))
 
+    def test_rejects_a_tree_without_leaves(self):
+        with pytest.raises(MalformedLabelling, match="no leaves have no normal form"):
+            normal_form(WeightedTree.make(corolla(0), {-1: 0.0}))
+
+    def test_rejects_lengths_not_covering_the_edges(self):
+        with pytest.raises(MalformedLabelling, match="cover every edge exactly once"):
+            WeightedTree.make(corolla(2), {1: 0.0, -1: 0.0})
+
 
 class TestPhyloBijection:
     def test_zero_length_edge_is_the_identity(self):
@@ -426,6 +439,8 @@ class TestPhyloBijection:
         shape = make_tree(3, "a", {"a": [1, "b"], "b": [2, 3]})
         with pytest.raises(PhyloInvariantError):
             PhyloTree.make(shape, {1: 0.0, 2: 0.0, 3: 0.0, -1: 0.0, -2: 0.0})
+        with pytest.raises(PhyloInvariantError, match="at least one leaf"):
+            PhyloTree.make(corolla(0), {-1: 0.0})
 
 
 class TestPhyloCompose:

@@ -79,6 +79,37 @@ class TestValidate:
         with pytest.raises(EmptyEdgeSet):
             validate(0, [], [], {}, {})
 
+    # (n, vertices, edges, source, target) breaking one rule, its error class
+    # and message
+    BROKEN = {
+        "edge-without-source": ((1, ["v"], ["e", "r"], {"r": "v"},
+                                 {"e": "v", "r": 0}),
+                                SourceNotBijective, "edge 'e' has no source"),
+        "source-outside": ((1, ["v"], ["e", "r"], {"e": 2, "r": "v"},
+                            {"e": "v", "r": 0}),
+                           SourceNotBijective,
+                           "edge 'e' has source 2 outside the tree"),
+        "target-outside": ((1, ["v"], ["e", "r"], {"e": 1, "r": "v"},
+                            {"e": "w", "r": 0}),
+                           TreeError, "edge 'e' has target 'w' outside the tree"),
+        "vertex-is-a-leaf": ((1, [1], ["e"], {"e": 1}, {"e": 0}),
+                             TreeError, "vertex ids [1] collide with leaf labels"),
+        "cycle": ((1, ["a", "b"], ["e", "f", "g"], {"e": 1, "f": "a", "g": "b"},
+                   {"e": 0, "f": "b", "g": "a"}),
+                  UnreachableRoot, "some node cannot reach the root"),
+    }
+
+    @pytest.mark.parametrize("name", BROKEN)
+    def test_each_broken_rule_names_itself(self, name):
+        args, error, message = self.BROKEN[name]
+        with pytest.raises(TreeError) as info:
+            validate(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_make_tree_refuses_a_leaf_with_children(self):
+        with pytest.raises(TreeError, match="leaf 1 cannot have children"):
+            make_tree(2, "v", {"v": [1, 2], 1: [2]})
+
     def test_pair_order_does_not_change_the_tree(self):
         # one tree, its (vertex, children) pairs listed in both orders
         a = PlanarTree(3, -1, ((-1, (1, -2)), (-2, (2, 3))))
@@ -368,6 +399,14 @@ class TestSubtree:
 # -- canonical forms ---------------------------------------------------------
 
 class TestCanonicalForm:
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown mode 'sorted'"):
+            corolla(2).canonical("sorted")
+
+    def test_labels_must_cover_the_vertices(self):
+        with pytest.raises(TreeError, match="labels must cover exactly the vertices"):
+            LabelledTree.make(corolla(2), {})
+
     def test_five_leaf_redraw_same_class(self):
         # same tree drawn twice: planar order and the labels of two leaves swapped
         a = make_tree(5, "a", {"a": [3, 1, "w"], "w": [4, 5, 2]})

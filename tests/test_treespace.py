@@ -198,6 +198,10 @@ class TestOrthants:
             for o in enumerate_binary_topologies(n):
                 assert len(o.clusters) == n - 2
 
+    def test_too_few_clusters_refused(self):
+        with pytest.raises(TreeSpaceError, match="not the cluster family"):
+            Orthant(4, frozenset({fs(1, 2)}))
+
 
 class TestClusters:
     def test_laminar_matches_the_pairwise_check(self):
@@ -435,6 +439,22 @@ class TestNeighborhoods:
             radii=radius,
         )
 
+    def test_unary_base_refused(self):
+        base = make_tree(2, "u", {"u": ["v"], "v": [1, 2]})
+        with pytest.raises(TreeSpaceError, match="cannot have unary vertices"):
+            BasicOpenSet(base, (), ((-1.0, 1.0),) * 3)
+
+    def test_empty_window_refused(self):
+        base = tree_from_clusters(2, [])
+        with pytest.raises(TreeSpaceError,
+                           match=r"window \(1.0, 1.0\) has no interior"):
+            BasicOpenSet(base, (), ((-1.0, 1.0), (1.0, 1.0), (-1.0, 1.0)))
+
+    def test_tree_of_another_arity_refused(self):
+        z = metric_tree(3, {}).tree
+        with pytest.raises(ArityMismatch, match="neighborhood is for 4-leaf trees"):
+            neighborhood_contains(self.base_set(0.7), z)
+
     def test_center_is_inside(self):
         u = self.base_set(0.7)
         z = metric_tree(4, {fs(1, 2): 1.0}).tree
@@ -557,6 +577,11 @@ class TestMetricTreeValidation:
         while all(x == 0.0 for x in t.external_lengths()):
             t = random_phylo(random.Random(3), 4)
         with pytest.raises(TreeSpaceError):
+            MetricTree(t)
+
+    def test_infinite_length_rejected(self):
+        t = parse_newick("((1:0,2:0):inf,3:0):0;", allow_infinite=True)
+        with pytest.raises(TreeSpaceError, match="metric trees have finite lengths"):
             MetricTree(t)
 
     def test_recompose_length_mismatch(self):
