@@ -6,8 +6,8 @@ input (a malformed command line included), 2 internal invariant
 violation.
 
 Each command imports the layers it calls, so the tree-only commands start
-without numpy: only evaluate, limit, jc, simulate and wcheck load the Markov
-layers, and only decompose, recompose, topologies and dist load tree space.
+without numpy: only evaluate, limit, jc and simulate load the Markov layers,
+and only decompose, recompose, topologies and dist load tree space.
 """
 
 from __future__ import annotations
@@ -209,9 +209,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_wcheck(args: argparse.Namespace) -> int:
-    from . import coalgebra
     t = _load_tree(args.tree, allow_infinite=True)
-    _emit_json({"w_member": coalgebra.w_membership(t)})
+    _emit_json({"w_member": operads.w_membership(t)})
     return 0
 
 

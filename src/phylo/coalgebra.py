@@ -28,7 +28,7 @@ from .markov import (
     _transitions,
     expm,  # not called here; the traced benchmark wraps coalgebra.expm by name
 )
-from .operads import PhyloTree, _length
+from .operads import PhyloTree
 from .trees import PhyloError, record
 
 
@@ -41,14 +41,6 @@ class BadArity(CoalgebraError):
 
 
 class IndexOutOfRange(CoalgebraError):
-    pass
-
-
-class DomainError(CoalgebraError):
-    pass
-
-
-class ParameterOutOfRange(CoalgebraError):
     pass
 
 
@@ -205,50 +197,6 @@ def marginal(lt: LeafTensor, leaf: int) -> Distribution:
     # (evaluate's buffer is laid out in its pruning order) give equal bits
     rows = np.ascontiguousarray(np.moveaxis(lt.data, leaf - 1, 0))
     return Distribution.make(lt.states, rows.reshape(lt.states.size, -1).sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# the compactified length monoid and trees with infinite external edges
-# ---------------------------------------------------------------------------
-
-def star(x: float, y: float) -> float:
-    """The monoid operation x + y - xy on [0, 1]."""
-    return x + y - x * y
-
-
-def to_unit(t: float) -> float:
-    """Isomorphism ([0, inf], +) -> ([0, 1], star): t -> 1 - exp(-t)."""
-    x = _length(t, allow_inf=True)
-    if x is not None:
-        return 1.0 - math.exp(-x)
-    raise DomainError(f"{t!r} is not a length in [0, inf]")
-
-
-def from_unit(u: float) -> float:
-    """Inverse isomorphism: u -> -log(1 - u), sending 1 to inf."""
-    x = _length(u, allow_inf=False)
-    if x is not None and x <= 1:
-        return math.inf if x == 1 else -math.log1p(-x) + 0.0
-    raise DomainError(f"{u!r} is not in [0, 1]")
-
-
-def w_membership(t: PhyloTree) -> bool:
-    """True when every external edge (root and leaves) has infinite length."""
-    return all(math.isinf(x) for x in t.external_lengths())
-
-
-def homotopy_retract(t: PhyloTree, s: float) -> PhyloTree:
-    """Rescale the external lengths through the unit-interval coordinates:
-    at s = 0 the tree is unchanged, at s = 1 all external edges become
-    infinite, so the image satisfies ``w_membership``.  Internal lengths
-    never move."""
-    r = _length(s, allow_inf=False)
-    if r is None or r > 1:
-        raise ParameterOutOfRange(f"parameter {s!r} not in [0, 1]")
-    if r == 0:
-        return t
-    return t.with_external([from_unit((1.0 - r) * to_unit(x) + r)
-                            for x in t.external_lengths()])
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ def _expm_core(A: np.ndarray) -> np.ndarray:
         if not norm < 2.0 ** 1000:
             # also an infinite norm, where t * H or its norm overflowed
             raise SizeCap(f"norm {norm:g} of t*H is too large to exponentiate")
+        if norm == 0:
+            out[i] = np.eye(s)  # the degree-1 series gives exactly I
+            continue
         # ceil(log2 norm), exactly, so that the scaled norm is at most 1
         frac, exp = math.frexp(norm)
         squarings = max(0, exp - (frac == 0.5))

@@ -18,8 +18,6 @@ from phylo.coalgebra import (
     evaluate,
     evaluate_operator,
     marginal,
-    star,
-    to_unit,
 )
 from phylo.markov import (
     Distribution,
@@ -36,6 +34,8 @@ from phylo.operads import (
     normal_form,
     phylo_act,
     phylo_compose,
+    star,
+    to_unit,
 )
 from phylo.treespace import (
     BasicOpenSet,

@@ -849,6 +849,7 @@ def test_no_layer_imports_dataclasses():
     ("compose --at 1 m.nwk m.nwk", False),
     ("act --perm 2,1,3,4 m.nwk", False),
     ("reduce w.json", False),
+    ("wcheck m.nwk", False),
     ("decompose m.nwk", True),
     ("recompose f.json", True),
     ("topologies --n 4", True),
@@ -870,6 +871,7 @@ def test_tree_only_commands_skip_numpy(tmp_path, argv, tree_space):
     "evaluate --model H.json --root f.json m.nwk",
     "limit --model H.json",
     "jc --mu 1 --k 4",
+    "simulate --model H.json --root f.json --seed 1 --samples 10 m.nwk",
 ], ids=lambda v: v.split()[0])
 def test_model_commands_skip_scipy(tmp_path, argv):
     # scipy is a test-only oracle; the runtime must not reach for it

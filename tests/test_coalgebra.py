@@ -11,22 +11,15 @@ import markov_reference
 from phylo import coalgebra
 from phylo.coalgebra import (
     BadArity,
-    DomainError,
     IndexOutOfRange,
     LeafTensor,
-    ParameterOutOfRange,
     duplicate,
     duplicate_matrix,
     evaluate,
     evaluate_extended,
     evaluate_operator,
-    from_unit,
-    homotopy_retract,
     marginal,
-    star,
     tensor_to_json,
-    to_unit,
-    w_membership,
 )
 from phylo.markov import (
     Distribution,
@@ -40,7 +33,19 @@ from phylo.markov import (
     validate_generator,
 )
 from phylo.newick import parse_newick
-from phylo.operads import PhyloTree, phylo_act, phylo_compose, unit_phylo
+from phylo.operads import (
+    DomainError,
+    ParameterOutOfRange,
+    PhyloTree,
+    from_unit,
+    homotopy_retract,
+    phylo_act,
+    phylo_compose,
+    star,
+    to_unit,
+    unit_phylo,
+    w_membership,
+)
 from phylo.trees import corolla, invert_perm
 from phylo.treespace import cluster_lengths
 from sampling import random_length, random_perm, random_phylo, random_shape

@@ -7,13 +7,6 @@ import math
 
 import pytest
 
-from phylo.coalgebra import (
-    DomainError,
-    ParameterOutOfRange,
-    from_unit,
-    homotopy_retract,
-    to_unit,
-)
 from phylo.markov import (
     BadRate,
     NegativeTime,
@@ -22,11 +15,16 @@ from phylo.markov import (
     validate_generator,
 )
 from phylo.operads import (
+    DomainError,
     MalformedLabelling,
+    ParameterOutOfRange,
     PhyloInvariantError,
     PhyloTree,
     WeightedTree,
     _length,
+    from_unit,
+    homotopy_retract,
+    to_unit,
     unit_phylo,
 )
 from phylo.trees import PhyloError, corolla

@@ -17,7 +17,7 @@ from markov_reference import (
     site_sum,
 )
 from phylo import markov
-from phylo.coalgebra import LeafTensor
+from phylo.coalgebra import LeafTensor, evaluate
 from phylo.markov import (
     _PS_TABLES,
     COLUMN_SUM_TOL,
@@ -402,6 +402,26 @@ class TestExpmStack:
 
     def test_stack_is_read_only(self):
         assert not _transitions(FLIP, [0.5, 1.0]).flags.writeable
+
+    def test_zero_lengths_never_reach_a_batch(self, monkeypatch):
+        # t = 0 gives exactly I without a product, so a tree's zero-length
+        # edges add no matrix to any batch, and an all-zero tree no batch
+        batch, norms = markov._expm_batch, []
+
+        def recorded(A, plans):
+            norms.append(np.abs(A).sum(axis=(1, 2)))
+            return batch(A, plans)
+
+        monkeypatch.setattr(markov, "_expm_batch", recorded)
+        g = jukes_cantor(1.0, 4)
+        f = Distribution.uniform(g.states)
+        evaluate(parse_newick("((1:0,2:0.5):0.25,(3:0,4:0):1):0;"), g, f)
+        assert [x.size for x in norms] == [3] and norms.pop().all()
+        # every edge the identity: the root law on the diagonal, exactly
+        lt = evaluate(parse_newick("(1:0,2:0,3:0):0;"), g, f)
+        want = np.zeros((4, 4, 4))
+        want[range(4), range(4), range(4)] = 0.25
+        assert norms == [] and np.array_equal(lt.data, want)
 
 
 @pytest.mark.parametrize("bad", [
